@@ -30,7 +30,7 @@ race:
 # make a build pass.
 cover:
 	@fail=0; \
-	for entry in internal/serve:85 internal/exec:77 internal/obs:92 internal/enginecache:72 internal/fleet:80; do \
+	for entry in internal/serve:85 internal/exec:77 internal/obs:92 internal/enginecache:72 internal/fleet:80 internal/kir:80; do \
 		pkg=$${entry%%:*}; floor=$${entry##*:}; \
 		pct=$$(go test -cover ./$$pkg | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
 		if [ -z "$$pct" ]; then echo "cover: $$pkg: no coverage reported"; fail=1; continue; fi; \
@@ -41,7 +41,7 @@ cover:
 
 # fuzz runs the native fuzz targets (trace-file and fault-spec parsers,
 # the engine-cache entry decoder, the KIR differential generator — random
-# kernel programs interpreted vs bytecode vs closures, bit-exact — and the
+# kernel programs interpreted vs run on the bytecode VM, bit-exact — and the
 # fleet's v2 HTTP infer-body decoder) for FUZZTIME each. Crashers land in
 # testdata/fuzz/ for triage.
 FUZZTIME ?= 30s
@@ -74,23 +74,23 @@ soak:
 	GODISC_SOAK=$(SOAKTIME) go test -race -count=1 -v \
 		-run TestSaturationFleetHTTP ./internal/fleet
 
-# bench runs every experiment benchmark once and checks the parsed
-# results into BENCH_PR8.json (per-experiment custom metrics, now
-# including the E17 bytecode-vs-closure kernel ablation with its
-# aggregate real wall-clock speedup and bit-identity bit).
-# -benchtime=1x because each benchmark iteration is itself a whole
-# experiment replay.
+# bench runs every experiment benchmark once and writes the parsed
+# per-experiment custom metrics to BENCH_PR12.json. Earlier BENCH_PR*.json
+# files are history and are never overwritten (BENCH_PR8.json holds the
+# last E17 bytecode-vs-closure kernel ablation). -benchtime=1x because each
+# benchmark iteration is itself a whole experiment replay.
 bench:
 	go test -run '^$$' -bench=. -benchtime=1x -benchmem . | tee bench.out
-	go run ./cmd/benchjson -in bench.out -out BENCH_PR8.json
+	go run ./cmd/benchjson -in bench.out -out BENCH_PR12.json
 	@rm -f bench.out
-	@echo "wrote BENCH_PR8.json"
+	@echo "wrote BENCH_PR12.json"
 
 # bench-compare prints deltas between the two most recent checked-in
-# BENCH_*.json files (or against itself when only one exists). It is
-# informational and never fails the build.
+# BENCH_*.json files (or against itself when only one exists), ordered by
+# version sort so BENCH_PR12 follows BENCH_PR8. It is informational and
+# never fails the build.
 bench-compare:
-	@files=$$(ls BENCH_*.json 2>/dev/null | sort | tail -2); \
+	@files=$$(ls BENCH_*.json 2>/dev/null | sort -V | tail -2); \
 	set -- $$files; \
 	if [ $$# -eq 0 ]; then echo "bench-compare: no BENCH_*.json checked in (run 'make bench')"; \
 	elif [ $$# -eq 1 ]; then go run ./cmd/benchjson -compare "$$1" "$$1" || true; \

@@ -327,32 +327,3 @@ func BenchmarkE12ScaleSweep(b *testing.B) {
 	b.ReportMetric(rows[0].Speedup["PyTorch"], "pytorch_x_at_h16")
 	b.ReportMetric(rows[len(rows)-1].Speedup["PyTorch"], "pytorch_x_at_h256")
 }
-
-// BenchmarkE17BytecodeVM regenerates the kernel-execution ablation: real
-// wall-clock kernel-substrate time per request under the bytecode VM vs the
-// retained closure compiler, with bit-identity checked on every output. The
-// aggregate kernel speedup is the PR 8 acceptance number (target >= 2x).
-func BenchmarkE17BytecodeVM(b *testing.B) {
-	var rows []bench.BytecodeRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.BytecodeAblation(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	identical := 1.0
-	var bc, cl float64
-	for _, r := range rows {
-		if !r.BitIdentical {
-			identical = 0
-		}
-		bc += r.BytecodeKernelNs
-		cl += r.ClosureKernelNs
-		b.ReportMetric(r.KernelSpeedup, "kernel_x_"+r.Model)
-	}
-	if bc > 0 {
-		b.ReportMetric(cl/bc, "kernel_x_aggregate")
-	}
-	b.ReportMetric(identical, "bit_identical")
-}

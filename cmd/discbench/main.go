@@ -12,14 +12,13 @@ import (
 	"strings"
 
 	"godisc/internal/bench"
-	"godisc/internal/kir"
 	"godisc/internal/obs"
 	"godisc/internal/workload"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id: e1..e12, e14..e17, replay, all")
+		exp      = flag.String("exp", "all", "experiment id: e1..e12, e14..e16, replay, all")
 		dev      = flag.String("device", "A10", "device model: A10 or T4")
 		requests = flag.Int("requests", 200, "requests per trace")
 		modelArg = flag.String("models", "", "comma-separated model subset (default all)")
@@ -29,20 +28,12 @@ func main() {
 		workers  = flag.String("workers", "1,2,4,8", "with -exp e14: comma-separated engine worker counts")
 		window   = flag.Int("window", 8, "with -exp e15: dynamic-batching window (rows coalesced per run)")
 		clients  = flag.Int("clients", 32, "with -exp e15: closed-loop clients at saturation")
-		execMode = flag.String("exec-mode", "bytecode",
-			"kernel execution substrate: bytecode (VM) or closure (retained oracle)")
 		traceOut = flag.String("trace-out", "",
 			"execute one traced replay and write its spans as a Chrome trace_event file")
 	)
 	flag.Parse()
 
 	cfg := bench.DefaultConfig()
-	em, err := kir.ParseExecMode(*execMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "discbench:", err)
-		os.Exit(1)
-	}
-	cfg.ExecMode = em
 	cfg.Device = *dev
 	cfg.Requests = *requests
 	cfg.Seed = *seed
@@ -256,18 +247,8 @@ func run(exp string, cfg bench.Config, jsonOut, traceIn, workers, traceOut strin
 		bench.PrintColdStart(w, cfg, rows)
 		fmt.Fprintln(w)
 	}
-	if want("e17") {
-		any = true
-		rows, err := bench.BytecodeAblation(cfg)
-		if err != nil {
-			return err
-		}
-		results["e17"] = rows
-		bench.PrintBytecodeAblation(w, cfg, rows)
-		fmt.Fprintln(w)
-	}
 	if !any {
-		return fmt.Errorf("unknown experiment %q (have e1..e12, e14..e17, replay, all)", exp)
+		return fmt.Errorf("unknown experiment %q (have e1..e12, e14..e16, replay, all)", exp)
 	}
 	if traceOut != "" {
 		model := "bert"

@@ -15,7 +15,6 @@ import (
 	"godisc/internal/device"
 	"godisc/internal/exec"
 	"godisc/internal/graph"
-	"godisc/internal/kir"
 	"godisc/internal/models"
 	"godisc/internal/obs"
 	"godisc/internal/symshape"
@@ -33,21 +32,15 @@ func main() {
 		verify  = flag.Bool("verify", true, "check outputs against the reference interpreter")
 		workers = flag.Int("workers", exec.DefaultWorkers(),
 			"engine execution goroutines per run (1 = sequential; default GODISC_WORKERS or GOMAXPROCS)")
-		execMode = flag.String("exec-mode", "bytecode",
-			"kernel execution substrate: bytecode (VM) or closure (retained oracle)")
 		traceOut = flag.String("trace-out", "",
 			"write per-run execution traces as a Chrome trace_event file (open in chrome://tracing)")
 	)
 	flag.Parse()
-	em, err := kir.ParseExecMode(*execMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "discrun:", err)
-		os.Exit(1)
-	}
+	var err error
 	if *in != "" {
-		err = runArtifact(*in, *binds, *dev, *workers, *traceOut, em)
+		err = runArtifact(*in, *binds, *dev, *workers, *traceOut)
 	} else {
-		err = run(*model, *dev, *batch, *seqs, *verify, *workers, *traceOut, em)
+		err = run(*model, *dev, *batch, *seqs, *verify, *workers, *traceOut)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "discrun:", err)
@@ -58,7 +51,7 @@ func main() {
 // runArtifact loads a serialized graph, binds the user-supplied dynamic
 // dim values, synthesizes random inputs of the resulting shapes, and runs
 // the compiled executable with verification against the reference.
-func runArtifact(path, binds, devName string, workers int, traceOut string, em kir.ExecMode) error {
+func runArtifact(path, binds, devName string, workers int, traceOut string) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -136,7 +129,6 @@ func runArtifact(path, binds, devName string, workers int, traceOut string, em k
 		return err
 	}
 	params := baselines.BladeDISCParams()
-	params.Codegen.ExecMode = em
 	params.Workers = workers
 	tracer := newTracer(traceOut)
 	params.Hook = hookOrNil(tracer)
@@ -177,7 +169,7 @@ func keys(m map[string]symshape.DimID) []string {
 	return out
 }
 
-func run(model, devName string, batch int, seqs string, verify bool, workers int, traceOut string, em kir.ExecMode) error {
+func run(model, devName string, batch int, seqs string, verify bool, workers int, traceOut string) error {
 	m, err := models.ByName(model)
 	if err != nil {
 		return err
@@ -187,7 +179,6 @@ func run(model, devName string, batch int, seqs string, verify bool, workers int
 		return err
 	}
 	params := baselines.BladeDISCParams()
-	params.Codegen.ExecMode = em
 	params.Workers = workers
 	tracer := newTracer(traceOut)
 	params.Hook = hookOrNil(tracer)

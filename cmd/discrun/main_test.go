@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"godisc/internal/kir"
 	"os"
 	"testing"
 
@@ -12,24 +11,20 @@ import (
 
 func TestRunVerifiesModels(t *testing.T) {
 	for _, m := range []string{"mlp", "gpt2"} {
-		if err := run(m, "T4", 2, "4,9", true, 4, "", kir.ModeBytecode); err != nil {
+		if err := run(m, "T4", 2, "4,9", true, 4, ""); err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-	}
-	// The retained closure oracle must verify identically via -exec-mode.
-	if err := run("mlp", "T4", 2, "4,9", true, 4, "", kir.ModeClosure); err != nil {
-		t.Fatalf("closure mode: %v", err)
 	}
 }
 
 func TestRunRejectsBadArgs(t *testing.T) {
-	if err := run("nope", "A10", 2, "4", true, 1, "", kir.ModeBytecode); err == nil {
+	if err := run("nope", "A10", 2, "4", true, 1, ""); err == nil {
 		t.Fatal("unknown model must error")
 	}
-	if err := run("mlp", "H100", 2, "4", true, 1, "", kir.ModeBytecode); err == nil {
+	if err := run("mlp", "H100", 2, "4", true, 1, ""); err == nil {
 		t.Fatal("unknown device must error")
 	}
-	if err := run("mlp", "A10", 2, "x", true, 1, "", kir.ModeBytecode); err == nil {
+	if err := run("mlp", "A10", 2, "x", true, 1, ""); err == nil {
 		t.Fatal("bad seq list must error")
 	}
 }
@@ -38,7 +33,7 @@ func TestRunRejectsBadArgs(t *testing.T) {
 // trace file records one exec root per sequence length.
 func TestRunTraceOut(t *testing.T) {
 	path := t.TempDir() + "/trace.json"
-	if err := run("mlp", "A10", 2, "4,9,16", true, 2, path, kir.ModeBytecode); err != nil {
+	if err := run("mlp", "A10", 2, "4,9,16", true, 2, path); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -79,10 +74,10 @@ func TestRunArtifact(t *testing.T) {
 	if err := os.WriteFile(path, []byte(graph.WriteText(m.Build())), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runArtifact(path, "", "A10", 2, "", kir.ModeBytecode); err != nil {
+	if err := runArtifact(path, "", "A10", 2, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := runArtifact(path, "dZZZ=4", "A10", 1, "", kir.ModeBytecode); err == nil {
+	if err := runArtifact(path, "dZZZ=4", "A10", 1, ""); err == nil {
 		t.Fatal("unknown binding must error")
 	}
 }

@@ -1,6 +1,6 @@
 // Package godisc is a Go reproduction of BladeDISC (Zheng et al., SIGMOD
 // 2023): an end-to-end compiler for dynamic tensor shape machine learning
-// workloads. Models are built as graphs with *symbolic* shapes; Compile
+// workloads. Models are built as graphs with *symbolic* shapes; CompileWith
 // lowers them once through the full pipeline — decomposition, algebraic
 // optimization, dynamic-shape fusion (kLoop/kInput/kStitch), and
 // compile-time + runtime combined code generation — and the resulting
@@ -362,62 +362,9 @@ type EngineCache = enginecache.Cache
 // wins when both are given). The cache is keyed by model, shape signature
 // and a fingerprint of the compile configuration — changing the device or
 // an ablation quarantines stale entries instead of serving them. Only
-// NewServer honors this option; Compile/CompileWith ignore it.
+// NewServer honors this option; CompileWith ignores it.
 func WithEngineCache(dir string) Option {
 	return func(c *compileConfig) { c.cacheDir = dir }
-}
-
-// Options is the legacy bool-field configuration of Compile, kept so
-// existing callers do not break.
-//
-// Deprecated: use CompileWith with functional options (WithDevice,
-// WithoutFusion, WithWorkers, ...); see README for the migration table.
-// The struct fields map one-to-one onto options via Options.options.
-type Options struct {
-	// Device selects the GPU model (default A10).
-	Device *Device
-	// DisableStitch turns off kStitch fusion (ablation).
-	DisableStitch bool
-	// DisableHorizontal turns off horizontal fusion of independent
-	// same-domain kernels (ablation).
-	DisableHorizontal bool
-	// DisableFusion turns off all fusion (one kernel per op).
-	DisableFusion bool
-	// DisableSpecialization turns off multi-variant codegen (vectorized /
-	// row-schedule / speculative kernel variants).
-	DisableSpecialization bool
-	// Verbose receives one line per optimization pass when non-nil.
-	Verbose func(format string, args ...any)
-	// Workers is the engine parallelism (see WithWorkers); 0 means
-	// DefaultWorkers, 1 forces sequential execution.
-	Workers int
-}
-
-// options converts the legacy struct to the functional form.
-func (o Options) options() []Option {
-	var opts []Option
-	if o.Device != nil {
-		opts = append(opts, WithDevice(o.Device))
-	}
-	if o.DisableStitch {
-		opts = append(opts, WithoutStitch())
-	}
-	if o.DisableHorizontal {
-		opts = append(opts, WithoutHorizontalFusion())
-	}
-	if o.DisableFusion {
-		opts = append(opts, WithoutFusion())
-	}
-	if o.DisableSpecialization {
-		opts = append(opts, WithoutSpecialization())
-	}
-	if o.Verbose != nil {
-		opts = append(opts, WithVerbose(o.Verbose))
-	}
-	if o.Workers != 0 {
-		opts = append(opts, WithWorkers(o.Workers))
-	}
-	return opts
 }
 
 // Engine is a compiled, shape-generic executable: one compilation serves
@@ -427,14 +374,6 @@ func (o Options) options() []Option {
 type Engine struct {
 	exe  *exec.Executable
 	plan *fusion.Plan
-}
-
-// Compile runs the full BladeDISC pipeline on g with the legacy Options
-// struct. It is an adapter over CompileWith, kept for compatibility.
-//
-// Deprecated: use CompileWith with functional options.
-func Compile(g *Graph, o Options) (*Engine, error) {
-	return CompileWith(g, o.options()...)
 }
 
 // CompileWith runs the full BladeDISC pipeline on g: composite-op
@@ -572,14 +511,6 @@ type (
 	// Batched reports whether the request was coalesced with others into
 	// one engine run, and BatchSize the total stacked rows of that run.
 	Response = serve.Response
-	// InferRequest is one inference call (model name + input tensors).
-	//
-	// Deprecated: use Request; they are the same type.
-	InferRequest = serve.Request
-	// InferResponse carries outputs, the run profile, and cache metadata.
-	//
-	// Deprecated: use Response; they are the same type.
-	InferResponse = serve.Response
 	// ServerStats is a point-in-time snapshot of serving counters.
 	ServerStats = serve.Stats
 	// Priority orders requests for admission under overload (see

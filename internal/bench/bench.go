@@ -12,7 +12,6 @@ import (
 
 	"godisc/internal/baselines"
 	"godisc/internal/device"
-	"godisc/internal/kir"
 	"godisc/internal/models"
 	"godisc/internal/ral"
 	"godisc/internal/tensor"
@@ -36,9 +35,6 @@ type Config struct {
 	Models []string
 	// Seed drives trace generation.
 	Seed uint64
-	// ExecMode selects the kernel execution substrate (bytecode VM by
-	// default; closure oracle behind -exec-mode=closure).
-	ExecMode kir.ExecMode
 }
 
 // DefaultConfig returns full-size settings.
@@ -54,14 +50,6 @@ func QuickConfig() Config {
 }
 
 func (c Config) device() (*device.Model, error) { return device.ByName(c.Device) }
-
-// params returns the standard BladeDISC parameter set with the config's
-// kernel execution mode applied.
-func (c Config) params() baselines.CompiledParams {
-	p := baselines.BladeDISCParams()
-	p.Codegen.ExecMode = c.ExecMode
-	return p
-}
 
 func (c Config) modelSet() ([]*models.Model, error) {
 	if len(c.Models) == 0 {

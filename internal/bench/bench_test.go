@@ -381,30 +381,3 @@ func TestDynamicBatchingAcceptance(t *testing.T) {
 		}
 	}
 }
-
-func TestBytecodeAblation(t *testing.T) {
-	cfg := quick("dlrm", "mlp")
-	rows, err := BytecodeAblation(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		if !r.BitIdentical {
-			t.Fatalf("%s: bytecode and closure outputs differ", r.Model)
-		}
-		if r.BytecodeKernelNs <= 0 || r.ClosureKernelNs <= 0 {
-			t.Fatalf("%s: missing kernel wall time: %+v", r.Model, r)
-		}
-		if r.Requests == 0 {
-			t.Fatalf("%s: no requests ran", r.Model)
-		}
-	}
-	var buf bytes.Buffer
-	PrintBytecodeAblation(&buf, cfg, rows)
-	if !strings.Contains(buf.String(), "aggregate") {
-		t.Fatalf("table missing aggregate line:\n%s", buf.String())
-	}
-}

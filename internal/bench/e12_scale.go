@@ -88,7 +88,7 @@ func ScaleSweep(cfg Config, hiddens []int) ([]ScaleRow, error) {
 		build := buildScaledLayer(h)
 		row := ScaleRow{Hidden: h, Speedup: map[string]float64{}}
 		suite := map[string]baselines.Strategy{}
-		disc, err := baselines.NewCompiled(build(), dev, cfg.params())
+		disc, err := baselines.NewCompiled(build(), dev, baselines.BladeDISCParams())
 		if err != nil {
 			return nil, err
 		}

@@ -63,7 +63,7 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 			Launches:        map[string]float64{},
 		}
 		for _, m := range suite {
-			params := cfg.params()
+			params := baselines.BladeDISCParams()
 			params.Fusion = ac.fus
 			params.Codegen = ac.cg
 			s, err := baselines.NewCompiled(m.Build(), dev, params)

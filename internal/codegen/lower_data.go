@@ -47,7 +47,7 @@ func (lw *lowerer) lowerDataKernel() (*Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp, err := prog.FinalizeMode(lw.opts.ExecMode)
+	cp, err := prog.Finalize()
 	if err != nil {
 		return nil, err
 	}

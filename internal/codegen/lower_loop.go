@@ -142,7 +142,7 @@ func (lw *lowerer) lowerLoopKernel() (*Kernel, error) {
 	dimNames := lw.dimNames()
 	for _, v := range variants {
 		v.prog.DimNames = dimNames
-		cp, err := v.prog.FinalizeMode(lw.opts.ExecMode)
+		cp, err := v.prog.Finalize()
 		if err != nil {
 			return nil, err
 		}
@@ -302,7 +302,7 @@ func (lw *lowerer) lowerRowSplitKernel(name string, rs rowSplitInfo) (*Kernel, e
 		DimNames:   lw.dimNames(),
 		Body:       []kir.Stmt{kir.SLoop{Var: "ro", Extent: outerExt, Body: row}},
 	}
-	cp, err := prog.FinalizeMode(lw.opts.ExecMode)
+	cp, err := prog.Finalize()
 	if err != nil {
 		return nil, err
 	}
@@ -499,7 +499,7 @@ func (lw *lowerer) lowerGeneralReduce(n *graph.Node) (*Kernel, error) {
 			kir.SLoop{Var: "o", Extent: lw.numelExpr(n.Shape), Body: body},
 		},
 	}
-	cp, err := prog.FinalizeMode(lw.opts.ExecMode)
+	cp, err := prog.Finalize()
 	if err != nil {
 		return nil, err
 	}
@@ -582,11 +582,11 @@ func (lw *lowerer) partialReduce(n *graph.Node, inBuf int) (*PartialReduce, erro
 			kir.SStore{Buf: 1, Idx: kir.IConst(0), Val: kir.FLocal("acc")},
 		},
 	}
-	pc, err := partial.FinalizeMode(lw.opts.ExecMode)
+	pc, err := partial.Finalize()
 	if err != nil {
 		return nil, err
 	}
-	cc, err := comb.FinalizeMode(lw.opts.ExecMode)
+	cc, err := comb.Finalize()
 	if err != nil {
 		return nil, err
 	}

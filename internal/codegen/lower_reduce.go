@@ -100,13 +100,13 @@ func (lw *lowerer) lowerRowKernel() (*Kernel, error) {
 	}
 	dimNames := lw.dimNames()
 	prog.DimNames = dimNames
-	cp, err := prog.FinalizeMode(lw.opts.ExecMode)
+	cp, err := prog.Finalize()
 	if err != nil {
 		return nil, err
 	}
 	if specProg != nil {
 		specProg.DimNames = dimNames
-		scp, err := specProg.FinalizeMode(lw.opts.ExecMode)
+		scp, err := specProg.Finalize()
 		if err != nil {
 			return nil, err
 		}

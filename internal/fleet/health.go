@@ -8,10 +8,10 @@
 //
 // Only engine-class failures feed the EWMA (see healthRelevant): a
 // hostile client's 4xx and the server's own load shedding must never
-// count against a model version. Recovery from QUARANTINED reuses the
-// serve-layer breaker pattern: after a cooldown one explicit-version
-// probe request is admitted (half-open); success re-opens the version as
-// DEGRADED, failure restarts the cooldown.
+// count against a model version. Recovery from QUARANTINED goes through
+// the serve layer's ProbeGate, the breaker's half-open discipline: after a
+// cooldown one explicit-version probe request is admitted; success
+// re-opens the version as DEGRADED, failure restarts the cooldown.
 package fleet
 
 import (
@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"godisc/internal/discerr"
+	"godisc/internal/serve"
 )
 
 // Health lattice values, ordered by severity. The numeric value is what
@@ -43,16 +44,14 @@ func healthValue(h string) float64 {
 // healthTracker is one version's health state machine. All fields are
 // guarded by Fleet.mu — the fleet serializes every observation.
 type healthTracker struct {
-	alpha      float64       // EWMA smoothing factor
-	maxRate    float64       // error-rate threshold for degradation
-	minSamples int           // observations before the EWMA is judged
-	cooldown   time.Duration // quarantine → half-open probe delay
+	alpha      float64 // EWMA smoothing factor
+	maxRate    float64 // error-rate threshold for degradation
+	minSamples int     // observations before the EWMA is judged
 
-	state    string
-	ewma     float64
-	samples  int
-	openedAt time.Time // when the version was (re-)quarantined
-	probing  bool      // a half-open probe is in flight
+	state   string
+	ewma    float64
+	samples int
+	gate    serve.ProbeGate // quarantine → half-open probe recovery
 }
 
 func newHealthTracker(cfg RolloutConfig) *healthTracker {
@@ -60,8 +59,8 @@ func newHealthTracker(cfg RolloutConfig) *healthTracker {
 		alpha:      cfg.EWMAAlpha,
 		maxRate:    cfg.MaxErrorRate,
 		minSamples: cfg.MinSamples,
-		cooldown:   cfg.ProbeCooldown,
 		state:      HealthHealthy,
+		gate:       serve.NewProbeGate(cfg.ProbeCooldown),
 	}
 }
 
@@ -96,33 +95,26 @@ func (h *healthTracker) unhealthy() bool {
 // cooldown clock.
 func (h *healthTracker) quarantine(now time.Time) {
 	h.state = HealthQuarantined
-	h.openedAt = now
-	h.probing = false
+	h.gate.Trip(now)
 }
 
 // allowProbe reports whether a quarantined version may serve one
 // half-open probe request now — at most one in flight, only after the
-// cooldown (the PR 2 breaker's half-open discipline).
+// cooldown.
 func (h *healthTracker) allowProbe(now time.Time) bool {
-	if h.state != HealthQuarantined || h.probing || now.Sub(h.openedAt) < h.cooldown {
-		return false
-	}
-	h.probing = true
-	return true
+	return h.state == HealthQuarantined && h.gate.Admit(now)
 }
 
 // probeResult resolves the in-flight half-open probe: success promotes
 // the version to DEGRADED with a fresh EWMA window (healthy traffic
 // walks it back to HEALTHY), failure restarts the cooldown.
 func (h *healthTracker) probeResult(ok bool, now time.Time) {
-	h.probing = false
+	h.gate.Resolve(ok, now)
 	if ok {
 		h.state = HealthDegraded
 		h.ewma = 0
 		h.samples = 0
-		return
 	}
-	h.openedAt = now
 }
 
 // healthRelevant reports whether err is an engine-class failure — the

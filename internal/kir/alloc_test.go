@@ -6,10 +6,7 @@
 
 package kir
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // allocGateKernels are the kernel shapes the dispatch loop must execute with
 // zero heap allocations per Run/RunRange: a fused elementwise map, a
@@ -83,14 +80,14 @@ func allocGateBufs(k *Kernel) ([][]float32, []int) {
 	return bufs, dims
 }
 
-// TestZeroAllocDispatch asserts the tentpole's hard budget: after warmup, a
-// Run (and RunRange, for partitionable kernels) performs zero heap
-// allocations in both execution modes — the frame pool absorbs everything.
+// TestZeroAllocDispatch asserts the VM's hard budget: after warmup, a Run
+// (and RunRange, for partitionable kernels) performs zero heap allocations
+// — the frame pool absorbs everything.
 func TestZeroAllocDispatch(t *testing.T) {
-	for _, mode := range []ExecMode{ModeBytecode, ModeClosure} {
+	t.Run("bytecode", func(t *testing.T) {
 		for _, k := range allocGateKernels() {
-			t.Run(fmt.Sprintf("%s/%s", mode, k.Name), func(t *testing.T) {
-				cp, err := k.FinalizeMode(mode)
+			t.Run(k.Name, func(t *testing.T) {
+				cp, err := k.Finalize()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,7 +119,7 @@ func TestZeroAllocDispatch(t *testing.T) {
 				}
 			})
 		}
-	}
+	})
 }
 
 // TestOuterExtentZeroAlloc pins satellite #2: the parallel executor calls

@@ -2,15 +2,6 @@ package kir
 
 import "testing"
 
-// benchModes runs fn once per execution mode as sub-benchmarks, so
-// `go test -bench BenchmarkKernel` reports the bytecode-vs-closure ablation
-// side by side.
-func benchModes(b *testing.B, fn func(b *testing.B, mode ExecMode)) {
-	for _, mode := range []ExecMode{ModeBytecode, ModeClosure} {
-		b.Run(mode.String(), func(b *testing.B) { fn(b, mode) })
-	}
-}
-
 // BenchmarkKernelElementwise measures the per-element cost of a fused
 // elementwise loop — the substrate's headline number. The exp/relu body
 // deliberately defeats the superinstruction matcher's single-op rows, so
@@ -31,25 +22,22 @@ func BenchmarkKernelElementwise(b *testing.B) {
 	const n = 1 << 14
 	bufs := [][]float32{make([]float32, n), make([]float32, n)}
 	dims := []int{n}
-	benchModes(b, func(b *testing.B, mode ExecMode) {
-		cp, err := k.FinalizeMode(mode)
-		if err != nil {
+	cp, err := k.Finalize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(n * 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cp.Run(bufs, dims); err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(n * 4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := cp.Run(bufs, dims); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkKernelAxpyRow measures a superinstruction-eligible row
-// (out = in*2 + rest is a zipS): bytecode runs it as one row op per kernel,
-// closures pay per-element tree walks.
+// (out = in*2 + rest is a zipS): bytecode runs it as one row op per kernel.
 func BenchmarkKernelAxpyRow(b *testing.B) {
 	k := &Kernel{
 		Name:       "axpy",
@@ -65,24 +53,21 @@ func BenchmarkKernelAxpyRow(b *testing.B) {
 	const n = 1 << 14
 	bufs := [][]float32{make([]float32, n), make([]float32, n)}
 	dims := []int{n}
-	benchModes(b, func(b *testing.B, mode ExecMode) {
-		cp, err := k.FinalizeMode(mode)
-		if err != nil {
+	cp, err := k.Finalize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(n * 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cp.Run(bufs, dims); err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(n * 4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := cp.Run(bufs, dims); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
-// BenchmarkKernelRowReduce measures the one-pass reduction superinstruction
-// against closure-tree accumulation.
+// BenchmarkKernelRowReduce measures the one-pass reduction superinstruction.
 func BenchmarkKernelRowReduce(b *testing.B) {
 	k := &Kernel{
 		Name:       "rowsum",
@@ -102,25 +87,22 @@ func BenchmarkKernelRowReduce(b *testing.B) {
 	const r, l = 128, 128
 	bufs := [][]float32{make([]float32, r*l), make([]float32, r*l)}
 	dims := []int{r, l}
-	benchModes(b, func(b *testing.B, mode ExecMode) {
-		cp, err := k.FinalizeMode(mode)
-		if err != nil {
+	cp, err := k.Finalize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(r * l * 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cp.Run(bufs, dims); err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(r * l * 4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := cp.Run(bufs, dims); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
-// BenchmarkFinalize measures compilation latency per mode: the bytecode
-// compiler does strictly more work (register allocation + pattern matching),
-// and this pins how much.
+// BenchmarkFinalize measures compilation latency: register allocation plus
+// superinstruction pattern matching.
 func BenchmarkFinalize(b *testing.B) {
 	k := &Kernel{
 		Name:       "k",
@@ -137,11 +119,9 @@ func BenchmarkFinalize(b *testing.B) {
 			}},
 		},
 	}
-	benchModes(b, func(b *testing.B, mode ExecMode) {
-		for i := 0; i < b.N; i++ {
-			if _, err := k.FinalizeMode(mode); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		if _, err := k.Finalize(); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }

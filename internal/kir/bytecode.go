@@ -165,10 +165,9 @@ type bcompiler struct {
 	tmpInt, tmpFlt int32
 	// defInt/defFlt track which named locals have been defined at the
 	// current compile point. Slots are pre-assigned by collectLocals, but a
-	// read before the defining statement must fail exactly as in the
-	// closure compiler, which defines names in compile-time encounter
-	// order (loop extents before the loop variable; set targets before
-	// their right-hand sides).
+	// read before the defining statement fails: names are defined in
+	// compile-time encounter order (loop extents before the loop variable;
+	// set targets before their right-hand sides).
 	defInt, defFlt map[string]bool
 	loReg, hiReg   int32
 	code           []instr
@@ -230,7 +229,7 @@ func (cp *Compiled) finalizeBytecode(dimSlot map[string]int, lp SLoop, partition
 
 // collectLocals pre-assigns a register to every assigned name (loop vars,
 // SSetInt and SSet targets). Reads of names never assigned anywhere fail
-// compilation, exactly as in the closure compiler.
+// compilation.
 func (c *bcompiler) collectLocals(ss []Stmt) {
 	for _, s := range ss {
 		switch s := s.(type) {
@@ -317,8 +316,7 @@ func (c *bcompiler) compileStmt(s Stmt) {
 	case SLoop:
 		c.compileLoop(s)
 	case SSet:
-		// The target is defined before its right-hand side compiles, as in
-		// the closure compiler.
+		// The target is defined before its right-hand side compiles.
 		dst := c.defineFlt(s.Var)
 		c.defFlt[s.Var] = true
 		c.emitF(s.Val, dst)
@@ -343,8 +341,8 @@ func (c *bcompiler) compileStmt(s Stmt) {
 
 // compileLoop emits a generic counted loop, or a superinstruction when the
 // body matches a whole-row pattern. The loop variable register ends at
-// extent-1 after a non-empty loop, matching closure semantics (the closure
-// path assigns the variable at the top of each iteration and never
+// extent-1 after a non-empty loop, matching the reference interpreter
+// (which assigns the variable at the top of each iteration and never
 // increments past the last).
 func (c *bcompiler) compileLoop(s SLoop) {
 	if c.trySuper(s, false) {
@@ -499,7 +497,7 @@ func (c *bcompiler) emitF(e Expr, dst int32) {
 			return
 		}
 		if cx, ok := e.X.(FConst); ok {
-			// Constant folding, identical to the closure compiler's.
+			// Constant folding through the same function table.
 			c.emit(instr{op: opFConst, a: dst, fimm: unaryTable[fn](float32(cx))})
 			return
 		}
@@ -558,7 +556,7 @@ func (c *bcompiler) emitF(e Expr, dst int32) {
 		rb := c.fltOperand(e.B)
 		c.emit(instr{op: op, a: dst, b: ra, c: rb})
 	case FSel:
-		// Lazy branches, like the closure path: only the taken side runs.
+		// Lazy branches, like the interpreter: only the taken side runs.
 		rp := c.fltOperand(e.P)
 		jz := c.emit(instr{op: opJumpIfZ, a: rp})
 		c.emitF(e.A, dst)

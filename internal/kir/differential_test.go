@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// The differential suite: random programs are executed by the bytecode VM,
-// the closure compiler, and the reference tree-walking interpreter, and all
-// stores must agree bit for bit (math.Float32bits equality, so NaN
+// The differential suite: random programs are executed by the bytecode VM
+// and the reference tree-walking interpreter, and all stores must agree
+// bit for bit (math.Float32bits equality, so NaN
 // propagation and -0 are checked too). Partitionable programs additionally
 // run as random contiguous RunRange splits, which must reproduce the full
 // run exactly.
@@ -17,7 +17,7 @@ import (
 // genProgram builds a random valid kernel from the seed. Every buffer index
 // is kept in bounds by construction (non-negative affine/min/mod arithmetic
 // reduced mod the domain size), so generated programs never fault and any
-// divergence between execution modes is a genuine compiler bug.
+// divergence between the VM and the interpreter is a genuine compiler bug.
 type progGen struct {
 	r       *rand.Rand
 	k       *Kernel
@@ -356,20 +356,14 @@ func bufsBitEqual(a, b [][]float32) (int, int, bool) {
 	return 0, 0, true
 }
 
-// checkDifferential compiles k in both modes, runs them plus the reference
+// checkDifferential compiles k to bytecode, runs it and the reference
 // interpreter on identical inputs, and requires bit-identical stores. For
 // partitionable programs it re-runs the bytecode via random contiguous
 // RunRange splits. Returns an error description or "" on agreement.
 func checkDifferential(k *Kernel, dims []int, seed int64) string {
-	// The reference accumulator for reduce bodies reads an undefined local
-	// on some generated programs; both compilers must agree on rejection.
-	cpB, errB := k.FinalizeMode(ModeBytecode)
-	cpC, errC := k.FinalizeMode(ModeClosure)
-	if (errB == nil) != (errC == nil) {
-		return fmt.Sprintf("finalize disagreement: bytecode=%v closure=%v", errB, errC)
-	}
-	if errB != nil {
-		return "" // both reject: agreement
+	cp, err := k.Finalize()
+	if err != nil {
+		return fmt.Sprintf("finalize: %v", err)
 	}
 	size := 1
 	for _, d := range dims {
@@ -380,47 +374,39 @@ func checkDifferential(k *Kernel, dims []int, seed int64) string {
 	}
 	ref := fillBufs(k.NumBuffers, size, seed)
 	bc := cloneBufs(ref)
-	cl := cloneBufs(ref)
 	if err := Interpret(k, ref, dims); err != nil {
 		// The interpreter rejects (e.g. undefined local read at runtime);
-		// compiled modes reject the same programs at compile time, so a
+		// Finalize rejects the same programs at compile time, so a
 		// runtime-only interpreter error means the program never reached
 		// a defined state worth comparing.
 		return fmt.Sprintf("interpreter error on finalizable program: %v", err)
 	}
-	if err := cpB.Run(bc, dims); err != nil {
+	if err := cp.Run(bc, dims); err != nil {
 		return fmt.Sprintf("bytecode run: %v", err)
-	}
-	if err := cpC.Run(cl, dims); err != nil {
-		return fmt.Sprintf("closure run: %v", err)
 	}
 	if i, j, ok := bufsBitEqual(bc, ref); !ok {
 		return fmt.Sprintf("bytecode vs interpreter: buf %d[%d]: %x != %x\n%s",
-			i, j, math.Float32bits(bc[i][j]), math.Float32bits(ref[i][j]), cpB.Disassemble())
+			i, j, math.Float32bits(bc[i][j]), math.Float32bits(ref[i][j]), cp.Disassemble())
 	}
-	if i, j, ok := bufsBitEqual(cl, ref); !ok {
-		return fmt.Sprintf("closure vs interpreter: buf %d[%d]: %x != %x", i, j,
-			math.Float32bits(cl[i][j]), math.Float32bits(ref[i][j]))
-	}
-	if !cpB.Partitionable() {
+	if !cp.Partitionable() {
 		return ""
 	}
 	// Random contiguous splits must replay the full run exactly.
-	n := cpB.OuterExtent(dims)
+	n := cp.OuterExtent(dims)
 	r := rand.New(rand.NewSource(seed ^ 0x5eed))
 	for trial := 0; trial < 3; trial++ {
 		rng := cloneBufs(fillBufs(k.NumBuffers, size, seed))
 		lo := 0
 		for lo < n {
 			hi := lo + 1 + r.Intn(n-lo)
-			if err := cpB.RunRange(rng, dims, lo, hi); err != nil {
+			if err := cp.RunRange(rng, dims, lo, hi); err != nil {
 				return fmt.Sprintf("RunRange(%d,%d): %v", lo, hi, err)
 			}
 			lo = hi
 		}
 		if i, j, ok := bufsBitEqual(rng, bc); !ok {
 			return fmt.Sprintf("RunRange split vs full run: buf %d[%d]: %x != %x\n%s",
-				i, j, math.Float32bits(rng[i][j]), math.Float32bits(bc[i][j]), cpB.Disassemble())
+				i, j, math.Float32bits(rng[i][j]), math.Float32bits(bc[i][j]), cp.Disassemble())
 		}
 	}
 	return ""
@@ -503,7 +489,7 @@ func TestDifferentialHandWritten(t *testing.T) {
 }
 
 // FuzzKIRProgram drives the same generator + differential oracle from the
-// native fuzzer: any seed where the three execution engines disagree (or
+// native fuzzer: any seed where the bytecode VM and the interpreter disagree (or
 // where a RunRange split diverges from the full run) is a crasher.
 func FuzzKIRProgram(f *testing.F) {
 	for s := int64(0); s < 16; s++ {

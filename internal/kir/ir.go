@@ -4,7 +4,7 @@
 // parameters rather than constants, so one kernel serves every concrete
 // shape (the paper's compile-time/runtime combined codegen). Finalize
 // performs the "compile-time" half — validating the program and compiling
-// every statement into a Go closure — and Run performs the "runtime" half,
+// it to register bytecode — and Run performs the "runtime" half,
 // binding concrete dimension values and buffers.
 //
 // The IR is deliberately small: integer index expressions, f32 scalar

@@ -73,12 +73,8 @@ var opNames = [...]string{
 
 // Disassemble renders the compiled bytecode program, one instruction per
 // line — the executable mirror of the AST printer, shown by trace/debug
-// output and differential-test failures. Closure-compiled kernels have no
-// bytecode; their source AST is returned instead.
+// output and differential-test failures.
 func (cp *Compiled) Disassemble() string {
-	if cp.prog == nil {
-		return "; closure-compiled (no bytecode)\n" + cp.kernel.String()
-	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "; kernel %s: %d instrs, %d superinstructions, %d int regs, %d f32 regs",
 		cp.kernel.Name, len(cp.prog.code), cp.prog.supers, cp.nInts, cp.nFloats)

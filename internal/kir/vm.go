@@ -445,8 +445,8 @@ func rowReduce(acc float32, src []float32, fn int) float32 {
 			acc += v
 		}
 	case bcMax:
-		// FnMax(acc, v) keeps acc only when acc > v (NaN acc is replaced,
-		// matching the closure oracle bit for bit).
+		// FnMax(acc, v) keeps acc only when acc > v (NaN acc is replaced),
+		// so the row loop matches the scalar path bit for bit.
 		for _, v := range src {
 			if !(acc > v) {
 				acc = v

@@ -193,8 +193,8 @@ type Profiler struct {
 	Partitions int
 	// KernelWallNs accumulates real host wall-clock nanoseconds spent inside
 	// compiled kernel programs (generated-kernel substrate only — library
-	// calls excluded, so the E17 exec-mode ablation measures exactly the
-	// code the kernel compiler owns). Recorded on the sequential execution
+	// calls excluded, so it measures exactly the code the kernel compiler
+	// owns). Recorded on the sequential execution
 	// path; parallel workers skip the timer to stay lock-free.
 	KernelWallNs float64
 	// KernelRuns counts the kernel program invocations timed into

@@ -542,6 +542,15 @@ func (ob *openBatch) deliver(r batchResult) {
 	ob.mu.Unlock()
 }
 
+// handBack returns every member to the solo path, counting the batch
+// outcome once. A half-open probe admitted for this batch is freed first:
+// the members' own solo runs take it and deliver the verdict.
+func (ob *openBatch) handBack(br *breaker, probe uint64, outcome string, rows int) {
+	br.release(probe)
+	ob.b.s.stats.batchRun(outcome, rows)
+	ob.deliver(batchResult{solo: true})
+}
+
 // run is the batch runner goroutine: it waits for the flush, then — with
 // two or more live members — admits once at the members' highest priority,
 // stacks the inputs, runs the cached engine once, and scatters the outputs
@@ -600,7 +609,9 @@ func (ob *openBatch) run() {
 	}
 
 	key := ob.m.name + "@" + ob.sig
-	if br := s.breakerFor(key); br != nil && !br.allow(time.Now()) {
+	br := s.breakerFor(key)
+	ok, probe := br.allow(time.Now())
+	if !ok {
 		// Quarantined engine: members short-circuit to fallback solo,
 		// where the outcome is counted once per request.
 		s.stats.batchRun("solo", rows)
@@ -612,8 +623,7 @@ func (ob *openBatch) run() {
 	if err != nil {
 		// Rejected or force-drained: members re-enter admission solo so
 		// every rejection is counted exactly once, against a real request.
-		s.stats.batchRun("solo", rows)
-		ob.deliver(batchResult{solo: true})
+		ob.handBack(br, probe, "solo", rows)
 		return
 	}
 	defer release()
@@ -629,15 +639,13 @@ func (ob *openBatch) run() {
 			probeUnpin()
 		}
 		if !ready {
-			s.stats.batchRun("solo", rows)
-			ob.deliver(batchResult{solo: true})
+			ob.handBack(br, probe, "solo", rows)
 			return
 		}
 	}
 	eng, _, hit, unpin, err := s.engine(ob.m, sp)
 	if err != nil {
-		s.stats.batchRun("error", rows)
-		ob.deliver(batchResult{solo: true})
+		ob.handBack(br, probe, "error", rows)
 		return
 	}
 	defer unpin()
@@ -663,22 +671,18 @@ func (ob *openBatch) run() {
 	if err != nil {
 		// Engine fault (or cancellation because everyone abandoned): solo
 		// retries drive the breaker and fallback with exact accounting.
-		s.stats.batchRun("error", rows)
-		ob.deliver(batchResult{solo: true})
+		ob.handBack(br, probe, "error", rows)
 		return
 	}
 	for _, o := range res.Outputs {
 		if o.Rank() < 1 || o.Dim(0) != rows {
 			// The analysis promised batch-major outputs; if an engine ever
 			// violates that, serve everyone solo rather than mis-scatter.
-			s.stats.batchRun("error", rows)
-			ob.deliver(batchResult{solo: true})
+			ob.handBack(br, probe, "error", rows)
 			return
 		}
 	}
-	if br := s.breakerFor(key); br != nil {
-		br.success()
-	}
+	br.success()
 	s.stats.batchRun("ok", rows)
 
 	// Scatter: each member gets zero-copy views of its own row range in

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"godisc/internal/exec"
 	"godisc/internal/faultinject"
 	"godisc/internal/graph"
 	"godisc/internal/randgraph"
@@ -488,6 +490,64 @@ func TestBatchEngineFailureFallsBackSolo(t *testing.T) {
 	}
 	if st.BatchedRuns != 0 {
 		t.Fatalf("stats: BatchedRuns=%d after a failed batch, want 0", st.BatchedRuns)
+	}
+}
+
+// TestBatchProbeReleasedOnHandBack: a batch admitted as the half-open
+// probe that hands its members back to the solo path gives no verdict on
+// the engine. The probe slot must be freed for the members' solo runs, so
+// the healed engine closes the breaker instead of staying quarantined.
+func TestBatchProbeReleasedOnHandBack(t *testing.T) {
+	var engineCalls int32
+	s := New(Config{
+		MaxConcurrent: 4, MaxBatchSize: 4, MaxLinger: time.Second, MaxRetries: -1,
+		BreakerThreshold: 1, BreakerCooldown: 20 * time.Millisecond,
+	}, func(*graph.Graph) (Engine, error) {
+		return engineFunc(func(context.Context, []*tensor.Tensor) (*exec.Result, error) {
+			// The opening solo run and the batched probe fail; the engine
+			// is healthy from then on.
+			if atomic.AddInt32(&engineCalls, 1) <= 2 {
+				panic("kernel crashed")
+			}
+			return okResult()
+		}), nil
+	})
+	defer s.Close()
+	if err := s.Register("mlp", buildMLP); err != nil {
+		t.Fatal(err)
+	}
+	in := tensor.RandN(tensor.NewRNG(5), 0.5, 2, 12)
+	solo := &Request{Model: "mlp", Inputs: []*tensor.Tensor{in}, Priority: PriorityInteractive}
+
+	if resp, err := s.Infer(context.Background(), solo); err != nil || !resp.Fallback {
+		t.Fatalf("opening failure: resp=%+v err=%v", resp, err)
+	}
+	time.Sleep(25 * time.Millisecond) // past the cooldown: half-open
+
+	// Two 2-row requests fill the 4-row window: the batch takes the probe,
+	// its run fails, and both members go back to the solo path.
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Infer(context.Background(), &Request{Model: "mlp", Inputs: []*tensor.Tensor{in}}); err != nil {
+				t.Errorf("batched request: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := atomic.LoadInt32(&engineCalls); got < 3 {
+		t.Fatalf("engine ran %d times, want >= 3: no member probed after the batch handed back", got)
+	}
+	for i := 0; i < 3; i++ {
+		resp, err := s.Infer(context.Background(), solo)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if resp.Fallback {
+			t.Fatalf("request %d served by fallback: the batch probe wedged the breaker", i)
+		}
 	}
 }
 

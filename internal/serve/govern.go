@@ -62,29 +62,48 @@ func (p Priority) String() string {
 // this constant replaces the sign magic at call sites.)
 const QueueDepthNone = -1
 
+// latencyEWMA is a moving average of run wall time: seeded from the first
+// sample, then smoothed with weight estAlpha. It does no locking of its
+// own; the estimator and the watchdog each guard theirs.
+type latencyEWMA struct {
+	avg float64 // ns
+	n   int64
+}
+
+const estAlpha = 0.2
+
+func (l *latencyEWMA) observe(d time.Duration) {
+	if l.n == 0 {
+		l.avg = float64(d)
+	} else {
+		l.avg += estAlpha * (float64(d) - l.avg)
+	}
+	l.n++
+}
+
+// mean returns the average once at least minSamples have been folded in;
+// ok is false before that (and for a nil receiver).
+func (l *latencyEWMA) mean(minSamples int64) (ns float64, ok bool) {
+	if l == nil || l.n < minSamples {
+		return 0, false
+	}
+	return l.avg, true
+}
+
 // estimator keeps a moving estimate of per-request engine wall time, fed
 // by successful compiled runs. The infeasibility check multiplies it out
 // to "time until a new arrival would complete": its own execution plus
 // the queue ahead of it drained MaxConcurrent-wide.
 type estimator struct {
-	mu   sync.Mutex
-	ewma float64 // exec wall ns
-	n    int64
+	mu  sync.Mutex
+	lat latencyEWMA
 }
 
-const (
-	estAlpha      = 0.2
-	estMinSamples = 8
-)
+const estMinSamples = 8
 
 func (e *estimator) observe(d time.Duration) {
 	e.mu.Lock()
-	if e.n == 0 {
-		e.ewma = float64(d)
-	} else {
-		e.ewma += estAlpha * (float64(d) - e.ewma)
-	}
-	e.n++
+	e.lat.observe(d)
 	e.mu.Unlock()
 }
 
@@ -94,15 +113,15 @@ func (e *estimator) observe(d time.Duration) {
 // reject anything on a cold start.
 func (e *estimator) estimate(queueAhead, slots int) (time.Duration, bool) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.n < estMinSamples {
+	avg, ok := e.lat.mean(estMinSamples)
+	e.mu.Unlock()
+	if !ok {
 		return 0, false
 	}
 	if slots < 1 {
 		slots = 1
 	}
-	total := e.ewma + e.ewma*float64(queueAhead+1)/float64(slots)
-	return time.Duration(total), true
+	return time.Duration(avg + avg*float64(queueAhead+1)/float64(slots)), true
 }
 
 // execEstimate returns the moving single-run execution estimate, or 0
@@ -110,11 +129,9 @@ func (e *estimator) estimate(queueAhead, slots int) (time.Duration, bool) {
 // request from lingering in a batch window.
 func (e *estimator) execEstimate() time.Duration {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.n < estMinSamples {
-		return 0
-	}
-	return time.Duration(e.ewma)
+	avg, _ := e.lat.mean(estMinSamples)
+	e.mu.Unlock()
+	return time.Duration(avg)
 }
 
 // watchdog tracks per-(model@signature) engine wall latency and derives
@@ -126,12 +143,7 @@ type watchdog struct {
 	floor    time.Duration
 
 	mu   sync.Mutex
-	sigs map[string]*sigLatency
-}
-
-type sigLatency struct {
-	ewma float64
-	n    int64
+	sigs map[string]*latencyEWMA
 }
 
 const watchdogMinSamples = 4
@@ -143,7 +155,7 @@ func newWatchdog(multiple float64, floor time.Duration) *watchdog {
 	if floor <= 0 {
 		floor = 10 * time.Millisecond
 	}
-	return &watchdog{multiple: multiple, floor: floor, sigs: map[string]*sigLatency{}}
+	return &watchdog{multiple: multiple, floor: floor, sigs: map[string]*latencyEWMA{}}
 }
 
 func (wd *watchdog) observe(key string, d time.Duration) {
@@ -153,15 +165,10 @@ func (wd *watchdog) observe(key string, d time.Duration) {
 	wd.mu.Lock()
 	sl := wd.sigs[key]
 	if sl == nil {
-		sl = &sigLatency{}
+		sl = &latencyEWMA{}
 		wd.sigs[key] = sl
 	}
-	if sl.n == 0 {
-		sl.ewma = float64(d)
-	} else {
-		sl.ewma += estAlpha * (float64(d) - sl.ewma)
-	}
-	sl.n++
+	sl.observe(d)
 	wd.mu.Unlock()
 }
 
@@ -172,13 +179,10 @@ func (wd *watchdog) limit(key string) (time.Duration, bool) {
 		return 0, false
 	}
 	wd.mu.Lock()
-	sl := wd.sigs[key]
-	var lim time.Duration
-	if sl != nil && sl.n >= watchdogMinSamples {
-		lim = time.Duration(wd.multiple * sl.ewma)
-	}
+	avg, ok := wd.sigs[key].mean(watchdogMinSamples)
 	wd.mu.Unlock()
-	if lim == 0 {
+	lim := time.Duration(wd.multiple * avg)
+	if !ok || lim == 0 {
 		return 0, false
 	}
 	if lim < wd.floor {

@@ -303,6 +303,138 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	}
 }
 
+// TestBreakerProbeReleasedWithoutVerdict: a half-open probe that ends
+// without a verdict on the engine — its caller went away mid-run, its
+// inputs were invalid, or the memory budget shed it — must free its slot,
+// so the next request probes the healed engine and closes the breaker
+// instead of every later request short-circuiting to fallback.
+func TestBreakerProbeReleasedWithoutVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		probe func(ctx context.Context) error // the probe run's outcome
+		want  error
+	}{
+		{"cancelled", func(ctx context.Context) error { <-ctx.Done(); return ctx.Err() }, context.Canceled},
+		{"shape mismatch", func(context.Context) error {
+			return fmt.Errorf("bad input: %w", discerr.ErrShapeMismatch)
+		}, discerr.ErrShapeMismatch},
+		{"memory budget", func(context.Context) error {
+			return fmt.Errorf("reserve: %w", discerr.ErrMemoryBudget)
+		}, discerr.ErrMemoryBudget},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var engineCalls int32
+			probing := make(chan struct{})
+			s := New(Config{
+				MaxConcurrent: 1, MaxRetries: -1,
+				BreakerThreshold: 1, BreakerCooldown: 20 * time.Millisecond,
+			}, func(*graph.Graph) (Engine, error) {
+				return engineFunc(func(ctx context.Context, _ []*tensor.Tensor) (*exec.Result, error) {
+					switch atomic.AddInt32(&engineCalls, 1) {
+					case 1:
+						panic("kernel crashed")
+					case 2:
+						close(probing)
+						return nil, tc.probe(ctx)
+					}
+					return okResult()
+				}), nil
+			})
+			if err := s.Register("mlp", buildMLP); err != nil {
+				t.Fatal(err)
+			}
+			in, _ := mlpInput(t, 2)
+			req := &Request{Model: "mlp", Inputs: []*tensor.Tensor{in}}
+
+			if resp, err := s.Infer(context.Background(), req); err != nil || !resp.Fallback {
+				t.Fatalf("opening failure: resp=%+v err=%v", resp, err)
+			}
+			time.Sleep(25 * time.Millisecond) // past the cooldown: half-open
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.want == context.Canceled {
+				go func() {
+					<-probing
+					cancel()
+				}()
+			}
+			if _, err := s.Infer(ctx, req); !errors.Is(err, tc.want) {
+				t.Fatalf("probe: err=%v, want %v", err, tc.want)
+			}
+			for i := 0; i < 5; i++ {
+				resp, err := s.Infer(context.Background(), req)
+				if err != nil {
+					t.Fatalf("request %d: %v", i, err)
+				}
+				if resp.Fallback {
+					t.Fatalf("request %d served by fallback: the probe wedged the breaker", i)
+				}
+			}
+			if got := atomic.LoadInt32(&engineCalls); got != 7 { // fail, probe, 5 healthy
+				t.Fatalf("engine ran %d times, want 7", got)
+			}
+		})
+	}
+}
+
+// TestBreakerProbeReleasedWhileCompiling: under AsyncCompile a half-open
+// probe that finds the engine still compiling is answered by the
+// interpreter with no verdict. Its slot must be freed, so once the
+// background build lands a later request probes the engine and closes the
+// breaker.
+func TestBreakerProbeReleasedWhileCompiling(t *testing.T) {
+	var compiles int32
+	s := New(Config{
+		MaxConcurrent: 1, AsyncCompile: true,
+		BreakerThreshold: 1, BreakerCooldown: 20 * time.Millisecond,
+	}, func(*graph.Graph) (Engine, error) {
+		if atomic.AddInt32(&compiles, 1) == 1 {
+			return nil, errors.New("lowering exploded")
+		}
+		return engineFunc(func(context.Context, []*tensor.Tensor) (*exec.Result, error) {
+			return okResult()
+		}), nil
+	})
+	defer s.Close()
+	if err := s.Register("mlp", buildMLP); err != nil {
+		t.Fatal(err)
+	}
+	in, _ := mlpInput(t, 2)
+	req := &Request{Model: "mlp", Inputs: []*tensor.Tensor{in}}
+
+	// The first request kicks a background compile that fails and opens
+	// the breaker.
+	if resp, err := s.Infer(context.Background(), req); err != nil || !resp.Compiling {
+		t.Fatalf("first: resp=%+v err=%v", resp, err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().BreakerOpens == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("failed background compile never opened the breaker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(25 * time.Millisecond) // past the cooldown: half-open
+
+	// The probe finds no engine, re-kicks the compile and falls back; the
+	// rebuilt engine must then get a probe of its own.
+	for {
+		resp, err := s.Infer(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Fallback {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("still served by fallback after the engine compiled (%d compiles): the probe wedged the breaker",
+				atomic.LoadInt32(&compiles))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestShutdownDrainsInFlight: Shutdown returns nil only after in-flight
 // requests complete; late Infers get ErrServerClosed.
 func TestShutdownDrainsInFlight(t *testing.T) {

@@ -843,12 +843,17 @@ func (s *Server) Infer(ctx context.Context, req *Request) (resp *Response, retEr
 	}
 	key := m.name + "@" + sig
 	br := s.breakerFor(key)
-	if !br.allow(time.Now()) {
+	ok, probe := br.allow(time.Now())
+	if !ok {
 		s.stats.breakerShorted()
 		outcome.BreakerShorted = true
 		cause := fmt.Errorf("serve: model %q (signature %s): %w", m.name, sig, discerr.ErrEngineQuarantined)
 		return s.finish(s.fallback(ctx, sp, m, req, sig, queueNs, 0, cause))
 	}
+	// A half-open probe that exits below without a verdict (cancelled,
+	// invalid inputs, budget shed, engine still compiling) frees its slot
+	// here; a resolved probe makes this a no-op.
+	defer br.release(probe)
 
 	var lastErr error
 	retries := 0
@@ -874,9 +879,11 @@ func (s *Server) Infer(ctx context.Context, req *Request) (resp *Response, retEr
 			if !ready {
 				// First-seen signature: kick the background build and
 				// answer now through the interpreter — the request never
-				// stalls behind the compiler.
+				// stalls behind the compiler. A probe has no verdict to
+				// give, so its slot is freed before the slow fallback.
 				s.compileAsync(m, sig, key)
 				s.stats.cacheMiss()
+				br.release(probe)
 				resp, ferr := s.fallback(ctx, sp, m, req, sig, queueNs, retries, nil)
 				if resp != nil {
 					resp.Compiling = true
