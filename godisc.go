@@ -197,7 +197,7 @@ type compileConfig struct {
 	verbose               func(format string, args ...any)
 	faults                *FaultInjector
 	workers               int
-	workerPool            *exec.WorkerPool
+	workerPool            *exec.WorkerPool // the server's, in NewServer
 	hook                  obs.Hook
 	metrics               *Metrics
 	governor              *ral.Governor
@@ -210,13 +210,44 @@ type compileConfig struct {
 // ablations), so entries from any other configuration are quarantined
 // instead of served.
 func (c *compileConfig) fingerprint() string {
-	dev := c.device
-	if dev == nil {
-		dev = device.A10()
-	}
 	return fmt.Sprintf("img%d|dev=%s|stitch=%t|horiz=%t|fusion=%t|spec=%t",
-		exec.ImageVersion, dev.Name, !c.disableStitch, !c.disableHorizontal,
+		exec.ImageVersion, c.dev().Name, !c.disableStitch, !c.disableHorizontal,
 		!c.disableFusion, !c.disableSpecialization)
+}
+
+// dev resolves the device model (default A10).
+func (c *compileConfig) dev() *Device {
+	if c.device == nil {
+		return device.A10()
+	}
+	return c.device
+}
+
+// execOptions derives the engine runtime options, for compiled and
+// decoded engines alike. Workers 0 resolves to the worker pool's size,
+// else DefaultWorkers; one worker keeps the engine sequential.
+func (c *compileConfig) execOptions() exec.Options {
+	eo := exec.DefaultOptions()
+	if c.disableSpecialization {
+		eo.Codegen = codegen.Options{}
+	}
+	w := c.workers
+	if w == 0 {
+		if c.workerPool != nil {
+			w = c.workerPool.Size()
+		} else {
+			w = exec.DefaultWorkers()
+		}
+	}
+	if w > 1 {
+		eo.Workers = w
+		eo.WorkerPool = c.workerPool
+	}
+	eo.Faults = c.faults
+	eo.Hook = c.hook
+	eo.Metrics = c.metrics
+	eo.Governor = c.governor
+	return eo
 }
 
 // WithDevice selects the GPU device model (default A10).
@@ -229,14 +260,11 @@ func WithDevice(d *Device) Option { return func(c *compileConfig) { c.device = d
 // Parallel execution is bit-identical to sequential.
 func WithWorkers(n int) Option { return func(c *compileConfig) { c.workers = n } }
 
-// WorkerPool bounds the helper goroutines of engines that share it; pass
-// one pool to many engines (as NewServer does) so concurrent requests
-// multiplex a single set of helpers.
+// WorkerPool bounds the helper goroutines of the engines that share it.
+// NewServer creates one per server (Server.WorkerPool) and threads it into
+// every engine the server builds, so concurrent requests multiplex a
+// single set of helpers.
 type WorkerPool = exec.WorkerPool
-
-// NewWorkerPool returns a pool admitting n-1 helper goroutines (callers
-// always execute too). n <= 0 resolves to DefaultWorkers().
-func NewWorkerPool(n int) *WorkerPool { return exec.NewWorkerPool(n) }
 
 // DefaultWorkers is the default engine parallelism: GODISC_WORKERS if set
 // to a positive integer, else GOMAXPROCS.
@@ -343,12 +371,6 @@ func WithMemoryBudget(bytes int64) Option {
 	return func(c *compileConfig) { c.governor = ral.NewGovernor(bytes) }
 }
 
-// withGovernor threads an existing governor (the server's) into the
-// engine, so all engines of one server draw on one budget.
-func withGovernor(g *ral.Governor) Option {
-	return func(c *compileConfig) { c.governor = g }
-}
-
 // EngineCache is a crash-safe persistent cache of compiled engines. A
 // server opened on a cache directory persists every engine it compiles
 // and reloads them after a restart without recompiling; entries that are
@@ -382,14 +404,20 @@ type Engine struct {
 // mutated (optimized) in place and owned by the engine afterwards.
 // Failures wrap ErrCompileFailed.
 func CompileWith(g *Graph, opts ...Option) (*Engine, error) {
+	return compileWith(g, resolve(opts))
+}
+
+// resolve applies opts to a zero configuration.
+func resolve(opts []Option) compileConfig {
 	var cfg compileConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	dev := cfg.device
-	if dev == nil {
-		dev = device.A10()
-	}
+	return cfg
+}
+
+// compileWith is CompileWith over a resolved configuration.
+func compileWith(g *Graph, cfg compileConfig) (*Engine, error) {
 	pipeline := opt.Default()
 	pipeline.Trace = cfg.verbose
 	if _, err := pipeline.Run(g); err != nil {
@@ -409,27 +437,7 @@ func CompileWith(g *Graph, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("godisc: fusion planning: %w: %w", err, discerr.ErrCompileFailed)
 	}
-	eo := exec.DefaultOptions()
-	if cfg.disableSpecialization {
-		eo.Codegen = codegen.Options{}
-	}
-	eo.Faults = cfg.faults
-	w := cfg.workers
-	if w == 0 {
-		if cfg.workerPool != nil {
-			w = cfg.workerPool.Size()
-		} else {
-			w = exec.DefaultWorkers()
-		}
-	}
-	if w > 1 {
-		eo.Workers = w
-		eo.WorkerPool = cfg.workerPool
-	}
-	eo.Hook = cfg.hook
-	eo.Metrics = cfg.metrics
-	eo.Governor = cfg.governor
-	exe, err := exec.Compile(g, plan, dev, eo)
+	exe, err := exec.Compile(g, plan, cfg.dev(), cfg.execOptions())
 	if err != nil {
 		return nil, fmt.Errorf("godisc: code generation: %w: %w", err, discerr.ErrCompileFailed)
 	}
@@ -543,12 +551,8 @@ const QueueDepthNone = serve.QueueDepthNone
 //	resp, err := srv.Infer(ctx, &godisc.Request{Model: "bert", Inputs: inputs})
 func NewServer(cfg ServerConfig, opts ...Option) *Server {
 	// Resolve the compile options once up front: the engine-cache
-	// fingerprint and the decode path both need the device and ablation
-	// knobs the per-compile closure below would otherwise re-derive.
-	var rcfg compileConfig
-	for _, o := range opts {
-		o(&rcfg)
-	}
+	// fingerprint, the compile path and the decode path all share them.
+	rcfg := resolve(opts)
 	if cfg.CacheDir == "" {
 		cfg.CacheDir = rcfg.cacheDir
 	}
@@ -566,30 +570,31 @@ func NewServer(cfg ServerConfig, opts ...Option) *Server {
 		}
 	}
 	var srv *Server
+	// engineConfig is rcfg bound to the server: every engine shares the
+	// server's worker pool (helper goroutines are bounded per server, not
+	// per engine), its observability (request spans continue into exec
+	// through the run context; engine and pool metrics land in the
+	// registry /metrics serves), and its memory budget (a nil governor is
+	// ungoverned). It runs only after New returns, so srv is bound.
+	engineConfig := func() compileConfig {
+		c := rcfg
+		c.workers, c.workerPool = 1, nil
+		if pool := srv.WorkerPool(); pool != nil {
+			c.workers, c.workerPool = pool.Size(), pool
+		}
+		if cfg.Observer != nil {
+			c.hook = cfg.Observer
+		}
+		if cfg.Metrics != nil {
+			c.metrics = cfg.Metrics
+		}
+		c.governor = srv.Governor()
+		return c
+	}
 	if cfg.DecodeEngine == nil {
 		cfg.DecodeEngine = func(payload []byte) (serve.Engine, error) {
-			dev := rcfg.device
-			if dev == nil {
-				dev = device.A10()
-			}
-			eo := exec.DefaultOptions()
-			eo.Faults = rcfg.faults
-			if pool := srv.WorkerPool(); pool != nil && pool.Size() > 1 {
-				eo.Workers = pool.Size()
-				eo.WorkerPool = pool
-			} else {
-				eo.Workers = 1
-			}
-			eo.Hook = rcfg.hook
-			if cfg.Observer != nil {
-				eo.Hook = cfg.Observer
-			}
-			eo.Metrics = rcfg.metrics
-			if cfg.Metrics != nil {
-				eo.Metrics = cfg.Metrics
-			}
-			eo.Governor = srv.Governor()
-			return exec.DecodeImage(payload, dev, eo)
+			c := engineConfig()
+			return exec.DecodeImage(payload, c.dev(), c.execOptions())
 		}
 	}
 	if cfg.EncodeEngine == nil {
@@ -602,29 +607,7 @@ func NewServer(cfg ServerConfig, opts ...Option) *Server {
 		}
 	}
 	srv = serve.New(cfg, func(g *graph.Graph) (serve.Engine, error) {
-		// All of a server's engines share its worker pool, so helper
-		// goroutines are bounded per server rather than per engine. The
-		// compile function only runs after New returns, so srv is bound.
-		copts := opts[:len(opts):len(opts)]
-		if pool := srv.WorkerPool(); pool != nil {
-			copts = append(copts, WithWorkers(pool.Size()),
-				func(c *compileConfig) { c.workerPool = pool })
-		} else {
-			copts = append(copts, WithWorkers(1))
-		}
-		// Engines inherit the server's observability so request spans
-		// continue into exec (via the run context) and engine/pool
-		// metrics land in the same registry /metrics serves.
-		if cfg.Observer != nil {
-			copts = append(copts, WithTracer(cfg.Observer))
-		}
-		if cfg.Metrics != nil {
-			copts = append(copts, WithMetrics(cfg.Metrics))
-		}
-		// Every engine reserves its per-run footprint against the server's
-		// shared memory budget (nil governor = ungoverned, zero cost).
-		copts = append(copts, withGovernor(srv.Governor()))
-		eng, err := CompileWith(g, copts...)
+		eng, err := compileWith(g, engineConfig())
 		if err != nil {
 			return nil, err
 		}

@@ -147,18 +147,9 @@ func Compile(g *graph.Graph, plan *fusion.Plan, dev *device.Model, opts Options)
 	if err := opts.Faults.Check(faultinject.SiteCompile); err != nil {
 		return nil, fmt.Errorf("exec: compiling %s: %w", g.Name, err)
 	}
-	if opts.Workers > 1 && opts.WorkerPool == nil {
-		opts.WorkerPool = NewWorkerPool(opts.Workers)
-	}
-	e := &Executable{
-		Graph:     g,
-		Plan:      plan,
-		Dev:       dev,
-		opts:      opts,
-		constBufs: map[*graph.Node][]float32{},
-		Pool:      ral.NewPool(),
-	}
-	e.Pool.SetFaults(opts.Faults)
+	e := newExecutable(g, dev, opts)
+	e.Plan = plan
+	e.constBufs = map[*graph.Node][]float32{}
 	for _, n := range g.Toposort() {
 		if n.Kind == graph.OpConstant {
 			buf, err := flatten(n.Lit)
@@ -189,12 +180,27 @@ func Compile(g *graph.Graph, plan *fusion.Plan, dev *device.Model, opts Options)
 	}
 	e.buildSchedule()
 	e.buildFootprint()
-	if reg := opts.Metrics; reg != nil {
-		e.mTasks = reg.Counter("godisc_exec_tasks_total", obs.L("graph", g.Name))
-		e.mPartitions = reg.Counter("godisc_exec_partitions_total", obs.L("graph", g.Name))
-		e.Pool.Observe(reg, obs.L("graph", g.Name))
-	}
 	return e, nil
+}
+
+// newExecutable builds the runtime state an Executable carries however it
+// was produced (compiled or decoded from an image): the buffer pool with
+// the fault injector attached, a private worker pool when the engine runs
+// parallel without a shared one, and the metric handles. The pool
+// publishes into series shared by every engine of the graph.
+func newExecutable(g *graph.Graph, dev *device.Model, opts Options) *Executable {
+	if opts.Workers > 1 && opts.WorkerPool == nil {
+		opts.WorkerPool = NewWorkerPool(opts.Workers)
+	}
+	e := &Executable{Graph: g, Dev: dev, opts: opts, Pool: ral.NewPool()}
+	e.Pool.SetFaults(opts.Faults)
+	if reg := opts.Metrics; reg != nil {
+		l := obs.L("graph", g.Name)
+		e.mTasks = reg.Counter("godisc_exec_tasks_total", l)
+		e.mPartitions = reg.Counter("godisc_exec_partitions_total", l)
+		e.Pool.Observe(ral.NewPoolMetrics(reg, l))
+	}
+	return e
 }
 
 // compileShapes builds the host shape program and every unit's compiled
@@ -393,7 +399,7 @@ func (e *Executable) runSequential(rc *runCtx) error {
 		}
 		var err error
 		if t.u.isLib {
-			err = e.runLibrary(rc, t, rc.prof)
+			err = e.runLibrary(rc, t)
 		} else {
 			err = e.runKernelSeq(rc, t)
 		}
@@ -412,8 +418,8 @@ func (e *Executable) runSequential(rc *runCtx) error {
 }
 
 // runLibrary executes a matmul/conv through the BLAS substitute and
-// charges the library cost model into prof.
-func (e *Executable) runLibrary(rc *runCtx, t *task, prof *ral.Profiler) error {
+// charges the library cost model into the run's profile.
+func (e *Executable) runLibrary(rc *runCtx, t *task) error {
 	u := t.u
 	n := u.group.Nodes[0]
 	aBuf, err := rc.bufOf(t.inSlots[0])
@@ -454,8 +460,11 @@ func (e *Executable) runLibrary(rc *runCtx, t *task, prof *ral.Profiler) error {
 	copy(buf, out.F32())
 	rc.setOwned(t.outSlots[0], buf)
 	name, bytes, flops := libraryCost(n.Kind, aShape, bShape, out.Shape())
-	prof.Host(e.opts.HostDispatchNs)
-	prof.Library(name, bytes, flops, e.Dev.MatmulTimeNs(bytes, flops))
+	simNs := e.Dev.MatmulTimeNs(bytes, flops)
+	rc.mu.Lock()
+	rc.prof.Host(e.opts.HostDispatchNs)
+	rc.prof.Library(name, bytes, flops, simNs)
+	rc.mu.Unlock()
 	return nil
 }
 
@@ -478,10 +487,9 @@ func libraryCost(kind graph.OpKind, aShape, bShape, oShape []int) (string, float
 }
 
 // launch is a prepared kernel invocation: variant selected, dims bound,
-// input and output buffers resolved (scratch is allocated by whichever
-// executor runs it — per launch sequentially, per chunk when partitioned,
-// since scratch rows are indexed per row and must be private to each
-// concurrent range).
+// input and output buffers resolved. Scratch rows are drawn per program
+// run (getScratch): once for a whole launch, once per chunk when
+// partitioned.
 type launch struct {
 	t       *task
 	k       *codegen.Kernel
@@ -502,7 +510,8 @@ type launch struct {
 }
 
 // prepareKernel sizes the launch: evaluates dims, selects the variant,
-// resolves input buffers and allocates outputs into their slots.
+// resolves input buffers and allocates outputs into their slots, then
+// probes the kernel-launch fault site. Both executors launch through it.
 func (e *Executable) prepareKernel(rc *runCtx, t *task) (*launch, error) {
 	u := t.u
 	k := u.kernel
@@ -540,6 +549,9 @@ func (e *Executable) prepareKernel(rc *runCtx, t *task) (*launch, error) {
 		bufs = append(bufs, buf)
 		bytes += float64(4 * len(buf))
 	}
+	if err := e.opts.Faults.Check(faultinject.SiteKernelLaunch); err != nil {
+		return nil, fmt.Errorf("exec: launching %s: %w", k.Name, err)
+	}
 	outer := 0
 	if k.ParallelOuter && variant.Code.Partitionable() {
 		outer = variant.Code.OuterExtent(dims)
@@ -550,99 +562,58 @@ func (e *Executable) prepareKernel(rc *runCtx, t *task) (*launch, error) {
 	}, nil
 }
 
-// runKernelSeq executes a prepared kernel whole on the calling goroutine,
-// preserving the legacy order of pool and fault-site probes (output
-// allocs, scratch allocs, launch check, run).
+// runKernelSeq prepares and launches a kernel whole on the calling
+// goroutine.
 func (e *Executable) runKernelSeq(rc *runCtx, t *task) error {
 	ln, err := e.prepareKernel(rc, t)
 	if err != nil {
 		return err
 	}
-	bufs := ln.bufs
-	var scratches [][]float32
-	defer func() {
-		for _, sc := range scratches {
-			rc.sess.Put(sc)
-		}
-	}()
-	for i := 0; i < ln.k.ScratchRows; i++ {
-		scratch, err := rc.sess.Get(ln.rowLen)
-		if err != nil {
-			return err
-		}
-		scratches = append(scratches, scratch)
-		bufs = append(bufs, scratch)
+	return e.runWholeKernel(rc, ln)
+}
+
+// runWholeKernel runs a prepared kernel whole on the calling goroutine and
+// charges it, with the program's host wall time.
+func (e *Executable) runWholeKernel(rc *runCtx, ln *launch) error {
+	bufs, err := rc.getScratch(ln, ln.bufs)
+	if err != nil {
+		return err
 	}
-	if err := e.opts.Faults.Check(faultinject.SiteKernelLaunch); err != nil {
-		return fmt.Errorf("exec: launching %s: %w", ln.k.Name, err)
-	}
+	defer rc.putScratch(bufs[len(ln.bufs):])
 	start := time.Now()
 	if err := ln.variant.Code.Run(bufs, ln.dims); err != nil {
 		return err
 	}
-	rc.prof.KernelWall(float64(time.Since(start)))
-	e.chargeKernel(rc.prof, ln, 1)
+	e.chargeKernel(rc, ln, 1, time.Since(start))
 	return nil
 }
 
-// runWholeKernel executes a prepared kernel whole on a parallel worker
-// (the launch fault check already ran in the scheduler).
-func (e *Executable) runWholeKernel(rc *runCtx, ln *launch) error {
-	bufs := ln.bufs
-	var scratches [][]float32
-	defer func() {
-		for _, sc := range scratches {
-			rc.sess.Put(sc)
-		}
-	}()
-	for i := 0; i < ln.k.ScratchRows; i++ {
-		scratch, err := rc.sess.Get(ln.rowLen)
-		if err != nil {
-			return err
-		}
-		scratches = append(scratches, scratch)
-		bufs = append(bufs, scratch)
-	}
-	return ln.variant.Code.Run(bufs, ln.dims)
-}
-
 // runChunk executes outer-loop range [lo, hi) of a prepared kernel, with
-// chunk-private scratch rows (scratch is indexed per row and would race if
-// shared across concurrent ranges). For partial reductions the range is
-// over partial indices of the partial program instead.
+// chunk-private scratch rows. For partial reductions the range is over
+// partial indices of the partial program instead.
 func (e *Executable) runChunk(rc *runCtx, ln *launch, lo, hi int) error {
 	if ln.partials != nil {
 		return ln.k.Partial.Partial.RunRange(ln.pbufs, ln.pdims, lo, hi)
 	}
 	bufs := ln.bufs
 	if n := ln.k.ScratchRows; n > 0 {
-		bufs = make([][]float32, len(ln.bufs), len(ln.bufs)+n)
-		copy(bufs, ln.bufs)
-		var scratches [][]float32
-		defer func() {
-			for _, sc := range scratches {
-				rc.sess.Put(sc)
-			}
-		}()
-		for i := 0; i < n; i++ {
-			scratch, err := rc.sess.Get(ln.rowLen)
-			if err != nil {
-				return err
-			}
-			scratches = append(scratches, scratch)
-			bufs = append(bufs, scratch)
+		var err error
+		bufs, err = rc.getScratch(ln, append(make([][]float32, 0, len(bufs)+n), bufs...))
+		if err != nil {
+			return err
 		}
-		return ln.variant.Code.RunRange(bufs, ln.dims, lo, hi)
+		defer rc.putScratch(bufs[len(ln.bufs):])
 	}
 	return ln.variant.Code.RunRange(bufs, ln.dims, lo, hi)
 }
 
-// chargeKernel charges a completed kernel launch into prof. Simulated
-// device time is identical whether the host ran the kernel whole or in
-// chunks — the analytic model already assumes a parallel device; chunking
-// buys host wall-clock time, which is what the E14 benchmark measures.
-// Chunked launches are counted in Profiler.Partitions.
-func (e *Executable) chargeKernel(prof *ral.Profiler, ln *launch, chunks int) {
+// chargeKernel charges a completed kernel launch into the run's profile.
+// Simulated device time is identical whether the host ran the kernel
+// whole or in chunks — the analytic model already assumes a parallel
+// device; chunking buys host wall-clock time, which is what the E14
+// benchmark measures. A whole launch records its program wall time; a
+// chunked one is counted in Profiler.Partitions instead.
+func (e *Executable) chargeKernel(rc *runCtx, ln *launch, chunks int, wall time.Duration) {
 	k := ln.k
 	// Cost: inputs + outputs traffic (intermediates live in registers or
 	// shared-memory scratch), with a small synchronization surcharge per
@@ -654,12 +625,17 @@ func (e *Executable) chargeKernel(prof *ral.Profiler, ln *launch, chunks int) {
 		MemEfficiency:     ln.variant.MemEfficiency,
 		ComputeEfficiency: ln.variant.ComputeEfficiency,
 	}
-	prof.Host(e.opts.HostDispatchNs)
-	prof.Launch(k.Name, ln.variant.Name, cost.Bytes, cost.Flops, e.Dev.KernelTimeNs(cost))
+	simNs := e.Dev.KernelTimeNs(cost)
+	rc.mu.Lock()
+	rc.prof.Host(e.opts.HostDispatchNs)
+	rc.prof.Launch(k.Name, ln.variant.Name, cost.Bytes, cost.Flops, simNs)
 	if chunks > 1 {
-		prof.Partitions += chunks
+		rc.prof.Partitions += chunks
 		e.mPartitions.Add(int64(chunks))
+	} else {
+		rc.prof.KernelWall(float64(wall))
 	}
+	rc.mu.Unlock()
 }
 
 // spanInfo names the task's span: "library" with the op kind for library

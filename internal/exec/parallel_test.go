@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"maps"
 	"math"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"godisc/internal/fusion"
 	"godisc/internal/models"
 	"godisc/internal/opt"
+	"godisc/internal/ral"
 	"godisc/internal/tensor"
 )
 
@@ -37,7 +39,7 @@ func bitEqual(a, b []float32) bool {
 }
 
 // requireBitIdentical runs both engines on the same inputs and fails on
-// any bitwise difference.
+// any bitwise difference in the outputs or any difference in the profile.
 func requireBitIdentical(t *testing.T, seq, par *Executable, inputs []*tensor.Tensor, label string) *Result {
 	t.Helper()
 	want, err := seq.Run(inputs)
@@ -56,7 +58,44 @@ func requireBitIdentical(t *testing.T, seq, par *Executable, inputs []*tensor.Te
 			t.Fatalf("%s: output %d differs from sequential run bit-for-bit", label, i)
 		}
 	}
+	requireSameProfile(t, want.Profile, got.Profile, label)
 	return got
+}
+
+// requireSameProfile demands the parallel profile equal the sequential
+// one: counts and map keys exactly, float totals to a relative 1e-9
+// (workers charge in a different order, so sums round differently).
+// Partitions and the kernel wall fields are the parallel engine's own.
+func requireSameProfile(t *testing.T, want, got *ral.Profiler, label string) {
+	t.Helper()
+	if got.Launches != want.Launches || got.LibraryOps != want.LibraryOps {
+		t.Fatalf("%s: parallel profile launches=%d library=%d, sequential %d/%d",
+			label, got.Launches, got.LibraryOps, want.Launches, want.LibraryOps)
+	}
+	near := func(field string, w, g float64) {
+		t.Helper()
+		if math.Abs(g-w) > 1e-9*math.Max(math.Abs(w), math.Abs(g)) {
+			t.Fatalf("%s: parallel profile %s = %v, sequential %v", label, field, g, w)
+		}
+	}
+	near("BytesMoved", want.BytesMoved, got.BytesMoved)
+	near("Flops", want.Flops, got.Flops)
+	near("SimulatedNs", want.SimulatedNs, got.SimulatedNs)
+	near("HostNs", want.HostNs, got.HostNs)
+	near("CompileNs", want.CompileNs, got.CompileNs)
+	if !maps.Equal(got.VariantHits, want.VariantHits) {
+		t.Fatalf("%s: parallel variant hits %v, sequential %v", label, got.VariantHits, want.VariantHits)
+	}
+	if len(got.PerKernel) != len(want.PerKernel) {
+		t.Fatalf("%s: parallel profile has %d kernels, sequential %d", label, len(got.PerKernel), len(want.PerKernel))
+	}
+	for k, w := range want.PerKernel {
+		g, ok := got.PerKernel[k]
+		if !ok {
+			t.Fatalf("%s: kernel %s missing from parallel profile", label, k)
+		}
+		near("PerKernel["+k+"]", w, g)
+	}
 }
 
 // TestParallelBitIdenticalModels runs the whole model zoo through the

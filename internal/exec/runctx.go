@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"godisc/internal/obs"
@@ -42,9 +43,9 @@ type runCtx struct {
 	// sess is this run's pool session (per-run accounting over the
 	// shared pool).
 	sess *ral.Session
-	// prof receives this run's simulated profile. Parallel workers write
-	// per-task shards and merge them through a ral.SharedProfiler instead
-	// of touching prof directly.
+	// prof receives this run's simulated profile. Every launch charges
+	// it in place under mu, from whichever executor goroutine ran it.
+	mu   sync.Mutex
 	prof *ral.Profiler
 	// span is this run's `exec` trace span (nil when observability is
 	// off — the one branch executors pay per instrumentation point).
@@ -122,6 +123,30 @@ func (rc *runCtx) decRef(s int) {
 		rc.sess.Put(rc.env[s])
 		rc.owned[s] = false
 		rc.env[s] = nil
+	}
+}
+
+// getScratch appends the launch's scratch rows (ScratchRows zeroed pooled
+// rows of rowLen) to bufs. Scratch is indexed per row, so every concurrent
+// run of a program needs its own rows and its own bufs copy to append to.
+// On failure the rows drawn so far go back to the pool.
+func (rc *runCtx) getScratch(ln *launch, bufs [][]float32) ([][]float32, error) {
+	n := len(bufs)
+	for i := 0; i < ln.k.ScratchRows; i++ {
+		sc, err := rc.sess.Get(ln.rowLen)
+		if err != nil {
+			rc.putScratch(bufs[n:])
+			return nil, err
+		}
+		bufs = append(bufs, sc)
+	}
+	return bufs, nil
+}
+
+// putScratch returns scratch rows drawn by getScratch.
+func (rc *runCtx) putScratch(rows [][]float32) {
+	for _, sc := range rows {
+		rc.sess.Put(sc)
 	}
 }
 

@@ -18,10 +18,8 @@ import (
 	"sync/atomic"
 
 	"godisc/internal/discerr"
-	"godisc/internal/faultinject"
 	"godisc/internal/graph"
 	"godisc/internal/obs"
-	"godisc/internal/ral"
 )
 
 // DefaultWorkers resolves the default worker count for one run: the
@@ -209,7 +207,6 @@ type workItem struct {
 type chunkState struct {
 	t       *task
 	ln      *launch
-	shard   *ral.Profiler
 	span    *obs.Span // the unit's kernel span; ended at finalize
 	chunks  int
 	pending int32
@@ -227,7 +224,6 @@ type scheduler struct {
 	pool       *WorkerPool
 	workers    int
 	maxHelpers int
-	sp         *ral.SharedProfiler
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -252,7 +248,6 @@ func (e *Executable) runParallel(rc *runCtx, workers int, pool *WorkerPool) erro
 		pool:       pool,
 		workers:    workers,
 		maxHelpers: workers - 1,
-		sp:         ral.ShareProfiler(rc.prof),
 		inDeg:      make([]int, len(e.tasks)),
 		remaining:  len(e.tasks),
 	}
@@ -378,25 +373,18 @@ func (s *scheduler) execTask(t *task) {
 		name, unit := t.spanInfo()
 		sp = s.rc.span.Child(name, obs.A("unit", unit))
 	}
-	shard := ral.NewProfiler()
 	if t.u.isLib {
-		err := s.e.runLibrary(s.rc, t, shard)
+		err := s.e.runLibrary(s.rc, t)
 		handedOff = true
 		sp.End()
-		s.finishTask(t, shard, err)
+		s.finishTask(t, err)
 		return
 	}
 	ln, err := s.e.prepareKernel(s.rc, t)
 	if err != nil {
 		handedOff = true
 		sp.End()
-		s.finishTask(t, nil, err)
-		return
-	}
-	if err := s.e.opts.Faults.Check(faultinject.SiteKernelLaunch); err != nil {
-		handedOff = true
-		sp.End()
-		s.finishTask(t, nil, fmt.Errorf("exec: launching %s: %w", ln.k.Name, err))
+		s.finishTask(t, err)
 		return
 	}
 	chunks := 1
@@ -406,7 +394,7 @@ func (s *scheduler) execTask(t *task) {
 			if err != nil {
 				handedOff = true
 				sp.End()
-				s.finishTask(t, nil, err)
+				s.finishTask(t, err)
 				return
 			}
 			ln.partials = partials
@@ -420,16 +408,13 @@ func (s *scheduler) execTask(t *task) {
 	}
 	if chunks <= 1 {
 		err := s.e.runWholeKernel(s.rc, ln)
-		if err == nil {
-			s.e.chargeKernel(shard, ln, 1)
-		}
 		handedOff = true
 		sp.End()
-		s.finishTask(t, shard, err)
+		s.finishTask(t, err)
 		return
 	}
 	handedOff = true
-	s.launchChunks(t, ln, chunks, shard, sp)
+	s.launchChunks(t, ln, chunks, sp)
 }
 
 // partialCount picks the number of per-worker partials for a full
@@ -467,8 +452,8 @@ func splitRange(extent, n, i int) (lo, hi int) {
 	return lo, hi
 }
 
-func (s *scheduler) launchChunks(t *task, ln *launch, chunks int, shard *ral.Profiler, sp *obs.Span) {
-	cs := &chunkState{t: t, ln: ln, shard: shard, span: sp, chunks: chunks, pending: int32(chunks)}
+func (s *scheduler) launchChunks(t *task, ln *launch, chunks int, sp *obs.Span) {
+	cs := &chunkState{t: t, ln: ln, span: sp, chunks: chunks, pending: int32(chunks)}
 	items := make([]workItem, chunks)
 	for i := 0; i < chunks; i++ {
 		lo, hi := splitRange(ln.outer, chunks, i)
@@ -534,8 +519,7 @@ func (s *scheduler) finalizeChunks(cs *chunkState) {
 		ln.partials = nil
 	}
 	if err == nil {
-		s.e.chargeKernel(cs.shard, ln, cs.chunks)
-		s.sp.Merge(cs.shard)
+		s.e.chargeKernel(s.rc, ln, cs.chunks, 0)
 	} else {
 		s.fail(err)
 	}
@@ -544,13 +528,10 @@ func (s *scheduler) finalizeChunks(cs *chunkState) {
 	s.complete(cs.t)
 }
 
-// finishTask merges the task's profile shard (on success), records any
-// error, and completes the task.
-func (s *scheduler) finishTask(t *task, shard *ral.Profiler, err error) {
+// finishTask records any error and completes the task.
+func (s *scheduler) finishTask(t *task, err error) {
 	if err != nil {
 		s.fail(err)
-	} else if shard != nil {
-		s.sp.Merge(shard)
 	}
 	s.complete(t)
 }
@@ -565,16 +546,14 @@ func (s *scheduler) complete(t *task) {
 			s.rc.decRef(sl)
 		}
 	}
-	var ready []workItem
 	s.mu.Lock()
 	for _, d := range t.outs {
 		s.inDeg[d]--
 		if s.inDeg[d] == 0 {
-			ready = append(ready, workItem{t: s.e.tasks[d]})
+			s.queue = append(s.queue, workItem{t: s.e.tasks[d]})
 		}
 	}
 	s.remaining--
-	s.queue = append(s.queue, ready...)
 	spawn := s.spawnCountLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()

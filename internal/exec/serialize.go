@@ -27,10 +27,7 @@ import (
 	"godisc/internal/fusion"
 	"godisc/internal/graph"
 	"godisc/internal/kir"
-	"godisc/internal/ral"
 	"godisc/internal/tensor"
-
-	"godisc/internal/obs"
 )
 
 // ImageVersion is the engine image format version. Bump it whenever the
@@ -271,9 +268,6 @@ func DecodeImage(data []byte, dev *device.Model, opts Options) (e *Executable, e
 		return nil, err
 	}
 
-	if opts.Workers > 1 && opts.WorkerPool == nil {
-		opts.WorkerPool = NewWorkerPool(opts.Workers)
-	}
 	opts.HostDispatchNs = img.HostDispatchNs
 	opts.DisableLivenessPlanning = img.DisableLiveness
 
@@ -289,21 +283,13 @@ func DecodeImage(data []byte, dev *device.Model, opts Options) (e *Executable, e
 		g.Outputs = append(g.Outputs, &graph.Node{DType: dt})
 	}
 
-	e = &Executable{
-		Graph:       g,
-		Dev:         dev,
-		opts:        opts,
-		prog:        &shapeProgram{slots: img.Prog.Slots, fills: img.Prog.Fills, steps: img.Prog.Steps},
-		outRefs:     img.OutRefs,
-		nSlots:      img.NSlots,
-		refs0:       img.Refs0,
-		outputSlots: img.OutputSlots,
-		Pool:        ral.NewPool(),
-		maxFP:       img.MaxFP,
-		maxFPOK:     img.MaxFPOK,
-		maxFPSet:    true,
-	}
-	e.Pool.SetFaults(opts.Faults)
+	e = newExecutable(g, dev, opts)
+	e.prog = &shapeProgram{slots: img.Prog.Slots, fills: img.Prog.Fills, steps: img.Prog.Steps}
+	e.outRefs = img.OutRefs
+	e.nSlots = img.NSlots
+	e.refs0 = img.Refs0
+	e.outputSlots = img.OutputSlots
+	e.maxFP, e.maxFPOK, e.maxFPSet = img.MaxFP, img.MaxFPOK, true
 	for _, p := range img.Params {
 		e.paramRefs = append(e.paramRefs, paramRef{slot: p.Slot, param: p.Param})
 	}
@@ -328,11 +314,6 @@ func DecodeImage(data []byte, dev *device.Model, opts Options) (e *Executable, e
 			id: ti.ID, u: u, nDeps: ti.NDeps, outs: ti.Outs,
 			inSlots: ti.InSlots, outSlots: ti.OutSlots, reads: ti.Reads,
 		})
-	}
-	if reg := opts.Metrics; reg != nil {
-		e.mTasks = reg.Counter("godisc_exec_tasks_total", obs.L("graph", g.Name))
-		e.mPartitions = reg.Counter("godisc_exec_partitions_total", obs.L("graph", g.Name))
-		e.Pool.Observe(reg, obs.L("graph", g.Name))
 	}
 	return e, nil
 }

@@ -161,8 +161,8 @@ type series struct {
 	hist    *Histogram
 
 	// funcs are the on-scrape callbacks of a GaugeFunc series; several
-	// registrations on one key are summed at collection (e.g. the pool
-	// gauges of every engine compiled for one graph).
+	// registrations on one key are summed at collection (e.g. the worker
+	// pool gauges of several servers sharing one registry).
 	mu    sync.Mutex
 	funcs []func() float64
 }
@@ -322,8 +322,12 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 
 // GaugeFunc registers an on-scrape callback for (name, labels). Multiple
 // callbacks on one series are summed at collection time, so independent
-// owners (one buffer pool per compiled engine, say) can contribute to one
-// aggregate series without coordination.
+// owners (several servers sharing one registry, say) can contribute to one
+// aggregate series without coordination. A callback is never removed and
+// keeps whatever it captures reachable for the registry's lifetime, so
+// register only for owners that live as long as the registry; short-lived
+// owners (a buffer pool per engine) update shared Counter/Gauge handles
+// instead.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 	if r == nil || fn == nil {
 		return

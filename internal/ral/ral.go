@@ -35,6 +35,9 @@ type Pool struct {
 	reuses int
 	inUse  int64
 	peak   int64
+
+	// m mirrors the stats into shared registry series (see Observe).
+	m PoolMetrics
 }
 
 // SetFaults installs (or clears, with nil) the pool's fault injector.
@@ -63,10 +66,13 @@ func RoundElems(n int) int64 { return int64(1) << class(n) }
 // zeroed.
 func (p *Pool) Get(n int) []float32 {
 	c := class(n)
+	size := int64(1) << c
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.inUse += int64(1) << c
+	p.inUse += size
+	p.m.InUse.Add(float64(size))
 	if p.inUse > p.peak {
+		p.m.Peak.Add(float64(p.inUse - p.peak))
 		p.peak = p.inUse
 	}
 	free := p.classes[c]
@@ -74,6 +80,7 @@ func (p *Pool) Get(n int) []float32 {
 		buf := free[len(free)-1]
 		p.classes[c] = free[:len(free)-1]
 		p.reuses++
+		p.m.Reuses.Inc()
 		buf = buf[:n]
 		for i := range buf {
 			buf[i] = 0
@@ -81,6 +88,7 @@ func (p *Pool) Get(n int) []float32 {
 		return buf
 	}
 	p.allocs++
+	p.m.Allocs.Inc()
 	return make([]float32, n, 1<<c)
 }
 
@@ -94,9 +102,11 @@ func (p *Pool) Put(buf []float32) {
 		// Foreign buffer (not from Get): adopt into the class below.
 		c = uint(bits.Len(uint(cap(buf)))) - 1
 	}
+	size := int64(1) << c
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.inUse -= int64(1) << c
+	p.inUse -= size
+	p.m.InUse.Add(-float64(size))
 	p.classes[c] = append(p.classes[c], buf[:cap(buf)])
 }
 
@@ -117,17 +127,36 @@ func (p *Pool) Stats() PoolStats {
 	return PoolStats{Allocs: p.allocs, Reuses: p.reuses, PeakElems: p.peak, InUseElems: p.inUse}
 }
 
-// Observe registers the pool's accounting as on-scrape gauges on reg.
-// Several pools may observe the same labelled series (one pool per
-// compiled engine of a graph); the registry sums their contributions.
-func (p *Pool) Observe(reg *obs.Registry, labels ...obs.Label) {
-	if p == nil || reg == nil {
-		return
+// PoolMetrics are the registry series a pool publishes its accounting
+// into. Every pool of one graph on one registry shares the same handles,
+// so each series is the sum over those pools, and the registry holds no
+// reference to any pool: an evicted engine's pool is collectable while
+// its history stays in the totals.
+type PoolMetrics struct {
+	Allocs *obs.Counter // godisc_pool_allocs_total
+	Reuses *obs.Counter // godisc_pool_reuses_total
+	InUse  *obs.Gauge   // godisc_pool_in_use_elems
+	Peak   *obs.Gauge   // godisc_pool_peak_elems: the sum of per-pool peaks
+}
+
+// NewPoolMetrics looks up the godisc_pool_* series for labels on reg. A
+// nil registry yields nil handles, which are inert.
+func NewPoolMetrics(reg *obs.Registry, labels ...obs.Label) PoolMetrics {
+	return PoolMetrics{
+		Allocs: reg.Counter("godisc_pool_allocs_total", labels...),
+		Reuses: reg.Counter("godisc_pool_reuses_total", labels...),
+		InUse:  reg.Gauge("godisc_pool_in_use_elems", labels...),
+		Peak:   reg.Gauge("godisc_pool_peak_elems", labels...),
 	}
-	reg.GaugeFunc("godisc_pool_allocs_total", func() float64 { return float64(p.Stats().Allocs) }, labels...)
-	reg.GaugeFunc("godisc_pool_reuses_total", func() float64 { return float64(p.Stats().Reuses) }, labels...)
-	reg.GaugeFunc("godisc_pool_in_use_elems", func() float64 { return float64(p.Stats().InUseElems) }, labels...)
-	reg.GaugeFunc("godisc_pool_peak_elems", func() float64 { return float64(p.Stats().PeakElems) }, labels...)
+}
+
+// Observe makes the pool publish into m from now on: Get and Put update
+// the handles under the pool's own lock, alongside Stats. Call it before
+// the pool's first Get so the series match Stats exactly.
+func (p *Pool) Observe(m PoolMetrics) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.m = m
 }
 
 // Session is a per-run view of a shared Pool: each invocation of an
@@ -194,8 +223,8 @@ type Profiler struct {
 	// KernelWallNs accumulates real host wall-clock nanoseconds spent inside
 	// compiled kernel programs (generated-kernel substrate only — library
 	// calls excluded, so it measures exactly the code the kernel compiler
-	// owns). Recorded on the sequential execution
-	// path; parallel workers skip the timer to stay lock-free.
+	// owns). Recorded for every whole launch by both executors;
+	// partitioned launches are not timed, since their chunks overlap.
 	KernelWallNs float64
 	// KernelRuns counts the kernel program invocations timed into
 	// KernelWallNs.
@@ -267,27 +296,6 @@ func (pr *Profiler) Add(o *Profiler) {
 	}
 }
 
-// SharedProfiler is the concurrency-safe aggregation point of a parallel
-// run: worker goroutines record each unit's launches into a private
-// Profiler shard and merge it here, so the hot per-launch methods stay
-// lock-free and the shared profile is only touched once per unit. The
-// zero value is not usable; wrap an existing Profiler with ShareProfiler.
-type SharedProfiler struct {
-	mu sync.Mutex
-	pr *Profiler
-}
-
-// ShareProfiler wraps pr for concurrent shard merging. The underlying
-// Profiler must not be read until every worker is done merging.
-func ShareProfiler(pr *Profiler) *SharedProfiler { return &SharedProfiler{pr: pr} }
-
-// Merge folds one worker shard into the shared profile.
-func (sp *SharedProfiler) Merge(shard *Profiler) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	sp.pr.Add(shard)
-}
-
 // String renders a human-readable summary.
 func (pr *Profiler) String() string {
 	var sb strings.Builder
@@ -350,46 +358,14 @@ func NewCache() *Cache {
 	}
 }
 
-// GetOrCompile returns the cached value for key, or invokes compile and
-// stores the result. The boolean reports whether it was a hit. If another
-// goroutine is already compiling the same key, the call blocks until that
-// compilation finishes and shares its outcome (reported as a hit: this
-// caller did not pay for a compilation). A failed compilation is not
-// cached; the next request retries.
-func (c *Cache) GetOrCompile(key string, compile func() (any, error)) (any, bool, error) {
-	c.mu.Lock()
-	if v, ok := c.entries[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return v, true, nil
-	}
-	if fc, ok := c.inflight[key]; ok {
-		c.shared++
-		c.mu.Unlock()
-		<-fc.done
-		return fc.v, true, fc.err
-	}
-	fc := &flightCall{done: make(chan struct{})}
-	c.inflight[key] = fc
-	c.misses++
-	c.mu.Unlock()
-
-	fc.v, fc.err = compile()
-	c.mu.Lock()
-	if fc.err == nil {
-		c.entries[key] = fc.v
-	}
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	close(fc.done)
-	return fc.v, false, fc.err
-}
-
-// AcquireOrCompile is GetOrCompile with eviction pinning: on success the
-// entry's pin count is incremented atomically with the lookup, so Evict
-// cannot remove it until the caller's matching Unpin. Callers that run
-// the cached engine use this; callers that only materialize it (async
-// compilation) keep GetOrCompile.
+// AcquireOrCompile returns the cached value for key, or invokes compile
+// and stores the result. The boolean reports whether it was a hit. If
+// another goroutine is already compiling the same key, the call blocks
+// until that compilation finishes and shares its outcome (reported as a
+// hit: this caller did not pay for a compilation). A failed compilation is
+// not cached; the next request retries. On success the entry's pin count
+// is incremented atomically with the lookup, so Evict cannot remove it
+// until the caller's matching Unpin.
 func (c *Cache) AcquireOrCompile(key string, compile func() (any, error)) (any, bool, error) {
 	for {
 		c.mu.Lock()
@@ -436,8 +412,22 @@ func (c *Cache) AcquireOrCompile(key string, compile func() (any, error)) (any, 
 	}
 }
 
-// AcquirePeek is Peek with eviction pinning: a hit increments the entry's
-// pin count atomically with the lookup. The caller must Unpin.
+// GetOrCompile is AcquireOrCompile without holding the pin: callers that
+// only materialize an engine (async compilation, baselines) use it;
+// callers that run the cached engine pin it with AcquireOrCompile.
+func (c *Cache) GetOrCompile(key string, compile func() (any, error)) (any, bool, error) {
+	v, hit, err := c.AcquireOrCompile(key, compile)
+	if err == nil {
+		c.Unpin(key)
+	}
+	return v, hit, err
+}
+
+// AcquirePeek returns the cached value for key without ever blocking: no
+// singleflight join, no compile. A hit counts as a hit and increments the
+// entry's pin count atomically with the lookup; the caller must Unpin.
+// The async-compile serving path uses it to decide between "run the
+// engine" and "serve the interpreter while a background build runs".
 func (c *Cache) AcquirePeek(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -493,20 +483,6 @@ func (c *Cache) Evictions() int {
 	return c.evictions
 }
 
-// Peek returns the cached value for key without ever blocking: no
-// singleflight join, no compile. The async-compile serving path uses it
-// to decide between "run the engine" and "serve the interpreter while a
-// background build runs". A present key counts as a hit.
-func (c *Cache) Peek(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.entries[key]
-	if ok {
-		c.hits++
-	}
-	return v, ok
-}
-
 // Put stores a value produced outside GetOrCompile (a background
 // compilation, a deserialized engine). The first binding of a key wins:
 // once an engine serves requests it is never hot-swapped for a rival, so
@@ -519,7 +495,7 @@ func (c *Cache) Put(key string, v any) {
 	}
 }
 
-// Contains reports whether key is cached, counting a hit if so.
+// Contains reports whether key is cached. It changes no counter.
 func (c *Cache) Contains(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

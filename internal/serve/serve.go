@@ -142,12 +142,14 @@ type Config struct {
 	// translate between Engines and cache payloads; without codecs the
 	// cache is inert.
 	EngineCache *enginecache.Cache
-	// CacheDir + CacheFingerprint open an EngineCache when one was not
-	// provided directly. The fingerprint names the compiler configuration
-	// (godisc.NewServer derives it from the compile options); entries from
-	// a different fingerprint are quarantined, never served. An unopenable
-	// directory disables persistence rather than failing the server — a
-	// hostile cache dir must not take serving down.
+	// CacheDir + CacheFingerprint name the EngineCache to open when one
+	// was not provided directly. godisc.NewServer reads them and opens the
+	// cache (New itself does not); it derives the fingerprint from the
+	// compile options when unset. The fingerprint names the compiler
+	// configuration; entries from a different fingerprint are quarantined,
+	// never served. An unopenable directory disables persistence rather
+	// than failing the server — a hostile cache dir must not take serving
+	// down.
 	CacheDir         string
 	CacheFingerprint string
 	// DecodeEngine rebuilds an Engine from a persisted cache payload;
@@ -367,13 +369,6 @@ func New(cfg Config, compile CompileFunc) *Server {
 	}
 	if cfg.CompileWorkers <= 0 {
 		cfg.CompileWorkers = 2
-	}
-	if cfg.EngineCache == nil && cfg.CacheDir != "" && cfg.CacheFingerprint != "" {
-		// Best effort: an unopenable cache dir disables persistence, it
-		// must not take the server down.
-		if ec, err := enginecache.Open(cfg.CacheDir, cfg.CacheFingerprint); err == nil {
-			cfg.EngineCache = ec
-		}
 	}
 	cfg.EngineCache.SetMetrics(cfg.Metrics)
 	var pool *exec.WorkerPool

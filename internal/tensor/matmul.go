@@ -40,7 +40,11 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // matmul2d computes out[m,n] = a[m,k] * b[k,n] with a cache-friendly ikj
-// loop order.
+// loop order. The j loop is unrolled by four. Each output element still
+// accumulates over k in order, so results are bit-identical to the plain
+// loop, and the speed no longer swings by ~40% with the function's
+// placement in the binary (the plain one-element loop did, on a 2-vCPU
+// Xeon VM, whenever unrelated code changed size).
 func matmul2d(out, a, b []float32, m, k, n int) {
 	for i := 0; i < m; i++ {
 		orow := out[i*n : (i+1)*n]
@@ -54,7 +58,15 @@ func matmul2d(out, a, b []float32, m, k, n int) {
 				continue
 			}
 			brow := b[p*n : (p+1)*n]
-			for j := range orow {
+			j := 0
+			for ; j+4 <= len(orow); j += 4 {
+				o, bb := orow[j:j+4:j+4], brow[j:j+4:j+4]
+				o[0] += av * bb[0]
+				o[1] += av * bb[1]
+				o[2] += av * bb[2]
+				o[3] += av * bb[3]
+			}
+			for ; j < len(orow); j++ {
 				orow[j] += av * brow[j]
 			}
 		}

@@ -162,6 +162,36 @@ func TestMatMul2D(t *testing.T) {
 	}
 }
 
+// TestMatMulUnrolledBitIdentical checks the unrolled matmul2d against the
+// plain one-element ikj loop bit for bit, over widths that exercise the
+// four-wide body, the remainder loop and both together (zeros in a
+// exercise the skip).
+func TestMatMulUnrolledBitIdentical(t *testing.T) {
+	r := NewRNG(11)
+	for n := 1; n <= 13; n++ {
+		const m, k = 3, 7
+		a, b := RandN(r, 1, m, k).F32(), RandN(r, 1, k, n).F32()
+		a[2] = 0
+		want := make([]float32, m*n)
+		for i := 0; i < m; i++ {
+			for p := 0; p < k; p++ {
+				if av := a[i*k+p]; av != 0 {
+					for j := 0; j < n; j++ {
+						want[i*n+j] += av * b[p*n+j]
+					}
+				}
+			}
+		}
+		got := make([]float32, m*n)
+		matmul2d(got, a, b, m, k, n)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("n=%d: element %d = %v, plain loop %v", n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestMatMulBatchBroadcast(t *testing.T) {
 	r := NewRNG(1)
 	a := RandN(r, 1, 4, 2, 3) // batch 4
